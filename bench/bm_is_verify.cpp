@@ -6,7 +6,7 @@
 // pushed out, failures rare), then verifies that design twice --
 //   * plain MC at a large sample count (Wilson interval), and
 //   * adaptive IS at a small budget (Frechet bracket over the per-spec
-//     mean-shift estimates)
+//     mean-shift estimates, two-lobe for mirrored specs)
 // -- and compares the achieved 95% yield-interval half-widths against
 // the model evaluations spent.  Acceptance: IS reaches a half-width at
 // least as tight with >= 5x fewer evaluations.
@@ -38,7 +38,7 @@ struct Comparison {
   double is_half_width = 0.0;
   std::size_t is_evaluations = 0;
   std::size_t is_rounds = 0;
-  std::size_t ess_fallbacks = 0;
+  std::size_t low_ess = 0;
 };
 
 Comparison compare_at(core::Evaluator& ev, const linalg::DesignVec& d,
@@ -55,23 +55,19 @@ Comparison compare_at(core::Evaluator& ev, const linalg::DesignVec& d,
   out.mc_half_width = 0.5 * (mc.confidence.upper - mc.confidence.lower);
   out.mc_evaluations = mc.evaluations;
 
-  std::vector<linalg::StatUnitVec> s_wc;
-  s_wc.reserve(linearized.worst_cases.size());
-  for (const core::WorstCasePoint& wc : linearized.worst_cases)
-    s_wc.push_back(wc.s_wc);
-
   core::IsVerificationOptions is_options;
   is_options.initial_samples = is_initial;
   is_options.round_samples = is_round;
   is_options.max_rounds = is_rounds;
   const core::IsVerificationResult is = core::importance_sample_verify(
-      ev, d, linearized.operating.theta_wc, s_wc, is_options);
+      ev, d, linearized.operating.theta_wc, linearized.worst_cases,
+      is_options);
   out.is_yield = is.yield;
   out.is_half_width = 0.5 * (is.confidence.upper - is.confidence.lower);
   out.is_evaluations = is.evaluations;
   out.is_rounds = is.rounds;
   for (const core::SpecIsEstimate& e : is.per_spec)
-    if (e.self_normalized) ++out.ess_fallbacks;
+    if (e.low_ess) ++out.low_ess;
   return out;
 }
 
@@ -81,9 +77,9 @@ void print_comparison(const char* label, const Comparison& c) {
               core::fmt_percent(c.mc_yield, 2).c_str(), c.mc_half_width,
               c.mc_evaluations);
   std::printf("  IS       : yield %s  CI half-width %.5f  evaluations %zu"
-              "  (rounds %zu, fallbacks %zu)\n",
+              "  (rounds %zu, low-ESS specs %zu)\n",
               core::fmt_percent(c.is_yield, 2).c_str(), c.is_half_width,
-              c.is_evaluations, c.is_rounds, c.ess_fallbacks);
+              c.is_evaluations, c.is_rounds, c.low_ess);
   const double eval_ratio =
       c.is_evaluations > 0
           ? static_cast<double>(c.mc_evaluations) /
@@ -113,9 +109,9 @@ void write_json(const char* path, const Comparison& c) {
                "\"evaluations\": %zu},\n",
                c.mc_yield, c.mc_half_width, c.mc_evaluations);
   std::fprintf(f, "    \"is\": {\"yield\": %.6f, \"ci_half_width\": %.6f, "
-               "\"evaluations\": %zu, \"rounds\": %zu, \"ess_fallbacks\": %zu},\n",
+               "\"evaluations\": %zu, \"rounds\": %zu, \"low_ess\": %zu},\n",
                c.is_yield, c.is_half_width, c.is_evaluations, c.is_rounds,
-               c.ess_fallbacks);
+               c.low_ess);
   std::fprintf(f, "    \"evaluations_ratio\": %.2f\n", eval_ratio);
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");

@@ -30,7 +30,7 @@ int main() {
   options.linear_samples = 10000;
   options.verification.num_samples = 300;
   // Fan the per-spec worst-case searches out over all cores; results are
-  // bitwise identical to the serial path (see parallel_build_linearizations).
+  // bitwise identical to the serial path (see build_linearizations).
   options.linearization_threads = 0;
   // Variance-reduced final verification: one adaptive mean-shift IS pass
   // at the final design, reusing the worst-case points the last
@@ -84,12 +84,16 @@ int main() {
                 "rounds)\n",
                 100.0 * is.yield, 100.0 * is.confidence.lower,
                 100.0 * is.confidence.upper, is.evaluations, is.rounds);
+    // The proposals are the last linearization's worst-case points; a
+    // mirrored one is sampled on both lobes.
+    const auto& worst_cases = result.linearizations.back().worst_cases;
     for (const auto& spec : is.per_spec)
       std::printf("    %-6s fail %.3g  [%.3g, %.3g]  samples %4zu  "
-                  "beta-shift %5.2f%s\n",
+                  "beta-shift %5.2f%s%s\n",
                   names[spec.spec].c_str(), spec.fail_probability, spec.lower,
                   spec.upper, spec.samples, spec.shift_norm,
-                  spec.self_normalized ? "  (self-normalized)" : "");
+                  worst_cases[spec.spec].mirrored ? "  (two-lobe)" : "",
+                  spec.low_ess ? "  (low ESS)" : "");
   }
 
   std::printf("\neffort: %zu optimization evaluations, %zu verification, "

@@ -166,7 +166,7 @@ void Inductor::stamp_ac(AcStamp& stamp) const {
 }
 
 void Inductor::stamp_tran(TranStamp& stamp) const {
-  // Companion: v = L di/dt with the stamp's active integration formula.
+  // Backward-Euler companion: v = L di/dt.
   const int b = first_branch();
   const int brow = stamp.branch_index(b);
   const double i = stamp.branch(b);
@@ -175,16 +175,8 @@ void Inductor::stamp_tran(TranStamp& stamp) const {
   stamp.add_jacobian(stamp.node_index(a_), brow, 1.0);
   stamp.add_jacobian(stamp.node_index(b_), brow, -1.0);
   const double i_prev = stamp.branch_prev(b);
-  double req;
-  double v_l;
-  if (stamp.bdf2()) {
-    const double i_prev2 = stamp.branch_prev2(b);
-    req = 1.5 * inductance_ / stamp.step();
-    v_l = inductance_ * (3.0 * i - 4.0 * i_prev + i_prev2) / (2.0 * stamp.step());
-  } else {
-    req = inductance_ / stamp.step();
-    v_l = req * (i - i_prev);
-  }
+  const double req = inductance_ / stamp.step();
+  const double v_l = req * (i - i_prev);
   stamp.add_branch_residual(b, stamp.v(a_) - stamp.v(b_) - v_l);
   stamp.add_jacobian(brow, stamp.node_index(a_), 1.0);
   stamp.add_jacobian(brow, stamp.node_index(b_), -1.0);

@@ -155,23 +155,17 @@ class AcStamp {
 };
 
 /// View for stamping one implicit transient step.  Extends the DC view
-/// with the solution history and the step size.  Two integration formulas
-/// are supported, both expressible with voltage history only (no per-
-/// device current state):
-///   * backward Euler:  dx/dt ~ (x_n - x_{n-1}) / h            (1st order)
-///   * BDF2:            dx/dt ~ (3x_n - 4x_{n-1} + x_{n-2}) / (2h)
-/// The integrator selects BDF2 only when two equally spaced history points
-/// exist (the first step always runs backward Euler).
+/// with the previous solution and the step size of the backward-Euler
+/// formula dx/dt ~ (x_n - x_{n-1}) / h, which needs voltage history only
+/// (no per-device current state).
 class TranStamp : public DcStamp {
  public:
   TranStamp(const linalg::Vector& x, linalg::SystemMatrix& system,
             linalg::Vector& residual, std::size_t num_nodes,
             const Conditions& conditions, const linalg::Vector& x_prev,
-            double step, double time,
-            const linalg::Vector* x_prev2 = nullptr)
+            double step, double time)
       : DcStamp(x, system, residual, num_nodes, conditions),
         x_prev_(x_prev),
-        x_prev2_(x_prev2),
         num_nodes_tran_(num_nodes),
         step_(step),
         time_(time) {}
@@ -180,37 +174,19 @@ class TranStamp : public DcStamp {
   double v_prev(NodeId n) const {
     return n == kGround ? 0.0 : x_prev_[n - 1];
   }
-  /// Node voltage two accepted time points ago (only if bdf2()).
-  double v_prev2(NodeId n) const {
-    return n == kGround ? 0.0 : (*x_prev2_)[n - 1];
-  }
   /// Branch variable at the previous accepted time point.
   double branch_prev(int b) const { return x_prev_[num_nodes_tran_ - 1 + b]; }
-  double branch_prev2(int b) const {
-    return (*x_prev2_)[num_nodes_tran_ - 1 + b];
-  }
-  /// True when the second-order history is available and enabled.
-  bool bdf2() const { return x_prev2_ != nullptr; }
   /// Step size h [s].
   double step() const { return step_; }
   /// Time at the *end* of the step being solved [s].
   double time() const { return time_; }
 
-  /// Companion stamp for a capacitance between a and b using the active
-  /// integration formula.
+  /// Backward-Euler companion stamp for a capacitance between a and b.
   void add_capacitor(NodeId a, NodeId b, double c) {
     const double vab = v(a) - v(b);
     const double vab_prev = v_prev(a) - v_prev(b);
-    double geq;
-    double i;
-    if (bdf2()) {
-      const double vab_prev2 = v_prev2(a) - v_prev2(b);
-      geq = 1.5 * c / step_;
-      i = c * (3.0 * vab - 4.0 * vab_prev + vab_prev2) / (2.0 * step_);
-    } else {
-      geq = c / step_;
-      i = geq * (vab - vab_prev);
-    }
+    const double geq = c / step_;
+    const double i = geq * (vab - vab_prev);
     add_conductance(a, b, geq);
     add_current(a, i);
     add_current(b, -i);
@@ -218,7 +194,6 @@ class TranStamp : public DcStamp {
 
  private:
   const linalg::Vector& x_prev_;
-  const linalg::Vector* x_prev2_;
   std::size_t num_nodes_tran_;
   double step_;
   double time_;

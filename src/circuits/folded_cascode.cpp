@@ -1,21 +1,13 @@
 #include "circuits/folded_cascode.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
-
-#include "circuit/netlist.hpp"
-#include "core/probe_cache.hpp"
-#include "obs/obs.hpp"
-#include "sim/ac.hpp"
-#include "sim/dc.hpp"
-#include "sim/measure.hpp"
-#include "sim/transient.hpp"
 
 namespace mayo::circuits {
 
 using circuit::Capacitor;
-using circuit::Conditions;
 using circuit::CurrentSource;
 using circuit::MosGeometry;
 using circuit::Mosfet;
@@ -31,68 +23,9 @@ using Stats = FoldedCascodeStats;
 
 // --------------------------------------------------------------- topology --
 
-struct FoldedCascode::Bench {
-  Netlist netlist;
-  bool unity = false;
-
-  // Signal transistors M0..M10 in constraint order.
-  std::array<Mosfet*, 11> signal{};
-  Mosfet* mb1 = nullptr;
-  Mosfet* mb2 = nullptr;
-  Mosfet* mb3 = nullptr;
-
-  VoltageSource* vdd = nullptr;
-  VoltageSource* vinp = nullptr;
-  VoltageSource* vinn = nullptr;  // null in the unity-gain bench
-  VoltageSource* vbp2 = nullptr;
-  VoltageSource* vbn2 = nullptr;
-  CurrentSource* iref = nullptr;
-  Capacitor* cl = nullptr;
-  NodeId out = circuit::kGround;
-};
-
-// Per-(d, theta) reusable results.  Everything in here is computed at the
-// NOMINAL statistical point with cold solves, i.e. it is a pure function
-// of (d, theta): evaluation results can depend on the context only through
-// warm-start seeds, never on the history of earlier calls.  (The previous
-// scheme kept the last DC solution as a warm start, which made results
-// depend on the evaluation order.)
-struct FoldedCascode::DesignContext {
-  std::vector<std::uint64_t> key;  ///< raw bits of (d, theta)
-
-  bool ac_done = false;
-  bool ac_converged = false;
-  Vector op_ac;  ///< nominal DC operating point of the AC bench
-
-  bool ft_done = false;
-  bool ft_valid = false;
-  sim::FtBracket ft_bracket;  ///< nominal unity-gain crossing, widened
-
-  bool sr_done = false;
-  bool sr_converged = false;
-  Vector op_sr;  ///< nominal DC operating point of the unity-gain bench
-  bool traj_valid = false;
-  std::vector<Vector> sr_traj;  ///< nominal step-response trajectory
-};
-
-namespace {
-/// AC sweep bounds of the ft measurement (shared by the nominal sweep in
-/// the context and the per-sample seeded measurement).
-constexpr double kFtLow = 1.0;
-constexpr double kFtHigh = 10e9;
-/// Headroom factor applied to the nominal crossing on both sides; mismatch
-/// rarely moves ft by more than tens of percent, and an escaped crossing
-/// just falls back to the full sweep.
-constexpr double kFtWiden = 1.6;
-/// Bounded FIFO of design contexts (coordinate searches revisit a handful
-/// of designs; old entries can always be rebuilt).
-constexpr std::size_t kContextCapacity = 16;
-}  // namespace
-
-std::unique_ptr<FoldedCascode::Bench> FoldedCascode::build_bench(
-    const FoldedCascode::Options& opt, bool unity) {
-  auto bench = std::make_unique<FoldedCascode::Bench>();
-  bench->unity = unity;
+std::unique_ptr<OpampBench> FoldedCascode::build_bench(const Options& opt,
+                                                      bool unity) {
+  auto bench = std::make_unique<OpampBench>();
   Netlist& nl = bench->netlist;
 
   const NodeId vdd = nl.add_node("vdd");
@@ -133,20 +66,18 @@ std::unique_ptr<FoldedCascode::Bench> FoldedCascode::build_bench(
   // pulls through the PMOS diode MB2 (bp1); cascode gates are
   // supply-referenced voltage sources.
   bench->iref = &nl.add<CurrentSource>("Iref", vdd, bn1, 50e-6);
-  bench->mb1 = &nl.add<Mosfet>("MB1", MosType::kNmos, bn1, bn1,
-                               circuit::kGround, circuit::kGround, proc_n,
-                               bias_geom);
-  bench->mb2 =
+  bench->bias = {
+      &nl.add<Mosfet>("MB1", MosType::kNmos, bn1, bn1, circuit::kGround,
+                      circuit::kGround, proc_n, bias_geom),
       &nl.add<Mosfet>("MB2", MosType::kPmos, bp1, bp1, vdd, vdd, proc_p,
-                      bias_geom);
-  bench->mb3 = &nl.add<Mosfet>("MB3", MosType::kNmos, bp1, bn1,
-                               circuit::kGround, circuit::kGround, proc_n,
-                               bias_geom);
-  bench->vbp2 = &nl.add<VoltageSource>("Vbp2", vdd, bp2, opt.vcasc_p);
-  bench->vbn2 = &nl.add<VoltageSource>("Vbn2", bn2, circuit::kGround,
-                                       opt.vcasc_n);
+                      bias_geom),
+      &nl.add<Mosfet>("MB3", MosType::kNmos, bp1, bn1, circuit::kGround,
+                      circuit::kGround, proc_n, bias_geom)};
+  nl.add<VoltageSource>("Vbp2", vdd, bp2, opt.vcasc_p);
+  nl.add<VoltageSource>("Vbn2", bn2, circuit::kGround, opt.vcasc_n);
 
   // Signal path.
+  bench->signal.resize(11);
   bench->signal[0] = &nl.add<Mosfet>("M0", MosType::kNmos, tail, bn1,
                                      circuit::kGround, circuit::kGround,
                                      proc_n, default_geom);
@@ -173,58 +104,32 @@ std::unique_ptr<FoldedCascode::Bench> FoldedCascode::build_bench(
                                       circuit::kGround, circuit::kGround,
                                       proc_n, default_geom);
 
-  bench->cl = &nl.add<Capacitor>("CL", out, circuit::kGround, opt.load_cap);
+  nl.add<Capacitor>("CL", out, circuit::kGround, opt.load_cap);
   return bench;
 }
 
-namespace {
-
-/// 10%-90% rise-time slew measurement on a step response.
-double slew_from_step(const std::vector<double>& time,
-                      const std::vector<double>& v) {
-  if (v.size() < 3) return 0.0;
-  const double v_start = v.front();
-  const double v_end = v.back();
-  const double delta = v_end - v_start;
-  if (std::abs(delta) < 1e-6) return 0.0;
-  const double v10 = v_start + 0.1 * delta;
-  const double v90 = v_start + 0.9 * delta;
-  const auto crossing = [&](double level) {
-    for (std::size_t k = 1; k < v.size(); ++k) {
-      const bool crossed = delta > 0.0 ? (v[k - 1] < level && v[k] >= level)
-                                       : (v[k - 1] > level && v[k] <= level);
-      if (crossed) {
-        const double f = (level - v[k - 1]) / (v[k] - v[k - 1]);
-        return time[k - 1] + f * (time[k] - time[k - 1]);
-      }
-    }
-    return -1.0;
-  };
-  const double t10 = crossing(v10);
-  const double t90 = crossing(v90);
-  if (t10 < 0.0 || t90 < 0.0 || t90 <= t10) return 0.0;
-  return 0.8 * std::abs(delta) / (t90 - t10);
+OpampHarness::Topology FoldedCascode::topology(const Options& opt) {
+  return {.ft_high_hz = 10e9,
+          .measure_cmrr = true,
+          .num_statistical = Stats::kCount,
+          .temp_nom_k = opt.process.envelope.temp_nom_k,
+          .vdd_nom = opt.process.envelope.vdd_nom};
 }
-
-}  // namespace
 
 // ------------------------------------------------------------ construction --
 
 FoldedCascode::FoldedCascode() : FoldedCascode(Options()) {}
 
 FoldedCascode::FoldedCascode(Options options)
-    : options_(std::move(options)),
-      ac_bench_(build_bench(options_, /*unity=*/false)),
-      sr_bench_(build_bench(options_, /*unity=*/true)) {
-  ac_session_.set_solver(options_.solver);
-}
-
-FoldedCascode::~FoldedCascode() = default;
+    : OpampHarness(options, topology(options),
+                   build_bench(options, /*unity=*/false),
+                   build_bench(options, /*unity=*/true)),
+      options_(std::move(options)) {}
 
 // --------------------------------------------------------------- binding --
 
-void FoldedCascode::apply(Bench& bench, const Vector& d, const Vector& s,
-                          const Vector& theta) const {
+void FoldedCascode::apply(OpampBench& bench, const Vector& d,
+                          const Vector& s, const Vector& theta) const {
   if (d.size() != Design::kCount)
     throw std::invalid_argument("FoldedCascode: design vector size mismatch");
   if (s.size() != Stats::kCount)
@@ -255,295 +160,15 @@ void FoldedCascode::apply(Bench& bench, const Vector& d, const Vector& s,
     if (i >= 1) var.dvth += s[Stats::kLocalFirst + (i - 1)];
     mos->set_variation(var);
   }
-  for (Mosfet* mos : {bench.mb1, bench.mb3}) {
-    circuit::MosVariation var;
-    var.dvth = dvthn;
-    var.kp_scale = kpn;
-    mos->set_variation(var);
-  }
-  {
-    circuit::MosVariation var;
-    var.dvth = dvthp;
-    var.kp_scale = kpp;
-    bench.mb2->set_variation(var);
+  for (Mosfet* mos : bench.bias) {
+    const bool is_pmos = mos->type() == MosType::kPmos;
+    mos->set_variation({is_pmos ? dvthp : dvthn, is_pmos ? kpp : kpn});
   }
 
   const double vdd = theta[1];
   bench.vdd->set_dc_value(vdd);
   bench.vinp->set_dc_value(0.5 * vdd);
   bench.iref->set_dc_value(d[Design::kIref]);
-}
-
-// --------------------------------------------------------------- contexts --
-
-FoldedCascode::DesignContext& FoldedCascode::design_context(
-    const Vector& d, const Vector& theta) {
-  context_key_.clear();
-  core::ProbeCache::append_bits(context_key_, d);
-  core::ProbeCache::append_bits(context_key_, theta);
-  obs::CacheCounters& stats = obs::registry().counters.design_context;
-  for (auto& ctx : contexts_) {
-    if (ctx->key == context_key_) {
-      stats.hits.add();
-      return *ctx;
-    }
-  }
-  stats.misses.add();
-  if (contexts_.size() >= kContextCapacity) {
-    contexts_.erase(contexts_.begin());
-    stats.evictions.add();
-  }
-  contexts_.push_back(std::make_unique<DesignContext>());
-  contexts_.back()->key = context_key_;
-  return *contexts_.back();
-}
-
-void FoldedCascode::ensure_ac_section(DesignContext& ctx, const Vector& d,
-                                      const Vector& theta) {
-  if (ctx.ac_done) return;
-  ctx.ac_done = true;
-  Bench& ac = *ac_bench_;
-  const Vector s0(Stats::kCount);
-  apply(ac, d, s0, theta);
-  const Conditions conditions{theta[0]};
-  // Cold solve: no warm start, so the context stays a pure function of
-  // (d, theta) regardless of what was evaluated before.
-  sim::DcOptions dc;
-  dc.solver = options_.solver;
-  dc.workspace = &newton_ac_;
-  const sim::DcResult op = sim::solve_dc(ac.netlist, conditions, dc);
-  ctx.ac_converged = op.converged;
-  if (op.converged) ctx.op_ac = op.solution;
-}
-
-void FoldedCascode::ensure_ft_section(DesignContext& ctx, const Vector& d,
-                                      const Vector& theta) {
-  if (ctx.ft_done) return;
-  ensure_ac_section(ctx, d, theta);
-  ctx.ft_done = true;
-  if (!ctx.ac_converged) return;  // ft_valid stays false
-  Bench& ac = *ac_bench_;
-  const Vector s0(Stats::kCount);
-  apply(ac, d, s0, theta);
-  const Conditions conditions{theta[0]};
-  ac.vinp->set_ac_value({0.5, 0.0});
-  ac.vinn->set_ac_value({-0.5, 0.0});
-  ac_session_.stamp(ac.netlist, ctx.op_ac, conditions);
-  const sim::GainBandwidth gb =
-      sim::measure_gain_bandwidth(ac_session_, ac.out, kFtLow, kFtHigh);
-  if (!gb.ft_found) return;
-  ctx.ft_bracket.f_lo = std::max(kFtLow, gb.ft_hz / kFtWiden);
-  ctx.ft_bracket.f_hi = std::min(kFtHigh, gb.ft_hz * kFtWiden);
-  ctx.ft_valid = ctx.ft_bracket.f_hi > ctx.ft_bracket.f_lo;
-}
-
-void FoldedCascode::ensure_sr_section(DesignContext& ctx, const Vector& d,
-                                      const Vector& theta) {
-  if (ctx.sr_done) return;
-  ctx.sr_done = true;
-  Bench& sr = *sr_bench_;
-  const Vector s0(Stats::kCount);
-  apply(sr, d, s0, theta);
-  const double vcm = 0.5 * theta[1];
-  sr.vinp->set_dc_value(vcm);
-  const Conditions conditions{theta[0]};
-  sim::DcOptions dc;
-  dc.solver = options_.solver;
-  dc.workspace = &newton_sr_;
-  const sim::DcResult op = sim::solve_dc(sr.netlist, conditions, dc);
-  ctx.sr_converged = op.converged;
-  if (!op.converged) return;
-  ctx.op_sr = op.solution;
-  // Nominal step response: its trajectory seeds every sample's per-step
-  // Newton iteration.
-  const double step = options_.sr_step;
-  sr.vinp->set_waveform([vcm, step](double t) {
-    return t <= 0.0 ? vcm : vcm + step;
-  });
-  sim::TranOptions tran;
-  tran.t_stop = options_.sr_t_stop;
-  tran.dt = options_.sr_dt;
-  tran.newton.solver = options_.solver;
-  tran.newton.workspace = &newton_sr_;
-  const sim::TranResult tr =
-      sim::solve_transient(sr.netlist, op.solution, conditions, tran);
-  sr.vinp->clear_waveform();
-  if (tr.converged) {
-    ctx.sr_traj = tr.solutions;
-    ctx.traj_valid = true;
-  }
-}
-
-// ----------------------------------------------------------- measurements --
-
-FoldedCascode::Measurements FoldedCascode::measure_with_context(
-    DesignContext& ctx, const Vector& d, const Vector& s, const Vector& theta) {
-  Measurements out;
-  Conditions conditions{theta[0]};
-
-  // --- open-loop AC bench: A0, ft, CMRR, power -------------------------
-  Bench& ac = *ac_bench_;
-  apply(ac, d, s, theta);
-  sim::DcOptions ac_dc;
-  ac_dc.solver = options_.solver;
-  ac_dc.workspace = &newton_ac_;
-  sim::DcResult op = sim::solve_dc(
-      ac.netlist, conditions, ac_dc, ctx.ac_converged ? &ctx.op_ac : nullptr);
-  if (!op.converged) return out;  // valid stays false
-
-  out.power_mw =
-      1e3 * sim::measure_supply_power(ac.netlist, op.solution, {ac.vdd});
-
-  // Differential excitation; the nominal crossing seeds the ft search.
-  // One session stamp serves the whole A0/ft measurement.
-  ac.vinp->set_ac_value({0.5, 0.0});
-  ac.vinn->set_ac_value({-0.5, 0.0});
-  ac_session_.stamp(ac.netlist, op.solution, conditions);
-  const sim::GainBandwidth gb =
-      sim::measure_gain_bandwidth(ac_session_, ac.out, kFtLow, kFtHigh,
-                                  ctx.ft_valid ? &ctx.ft_bracket : nullptr);
-  out.a0_db = gb.a0_db;
-  out.ft_mhz = gb.ft_found ? gb.ft_hz / 1e6 : 0.0;
-
-  // Common-mode excitation for CMRR: only the excitation vector changed,
-  // but a re-stamp is one device sweep -- far cheaper than a solve.
-  ac.vinp->set_ac_value({1.0, 0.0});
-  ac.vinn->set_ac_value({1.0, 0.0});
-  ac_session_.stamp(ac.netlist, op.solution, conditions);
-  const double acm_db = sim::to_db(ac_session_.node_voltage(1.0, ac.out));
-  out.cmrr_db = out.a0_db - acm_db;
-
-  // --- unity-gain transient bench: positive slew rate -------------------
-  Bench& sr = *sr_bench_;
-  apply(sr, d, s, theta);
-  const double vcm = 0.5 * theta[1];
-  sr.vinp->set_dc_value(vcm);
-  sim::DcOptions sr_dc;
-  sr_dc.solver = options_.solver;
-  sr_dc.workspace = &newton_sr_;
-  sim::DcResult sr_op = sim::solve_dc(
-      sr.netlist, conditions, sr_dc, ctx.sr_converged ? &ctx.op_sr : nullptr);
-  if (!sr_op.converged) return out;
-
-  const double step = options_.sr_step;
-  sr.vinp->set_waveform([vcm, step](double t) {
-    return t <= 0.0 ? vcm : vcm + step;
-  });
-  sim::TranOptions tran;
-  tran.t_stop = options_.sr_t_stop;
-  tran.dt = options_.sr_dt;
-  tran.newton.solver = options_.solver;
-  tran.newton.workspace = &newton_sr_;
-  tran.seed_trajectory = ctx.traj_valid ? &ctx.sr_traj : nullptr;
-  const sim::TranResult tr =
-      sim::solve_transient(sr.netlist, sr_op.solution, conditions, tran);
-  sr.vinp->clear_waveform();
-  if (!tr.converged) return out;
-  out.sr_v_per_us = 1e-6 * slew_from_step(tr.time, tr.node_voltage(sr.out));
-
-  out.valid = true;
-  return out;
-}
-
-FoldedCascode::Measurements FoldedCascode::measure(const Vector& d,
-                                                   const Vector& s,
-                                                   const Vector& theta) {
-  DesignContext& ctx = design_context(d, theta);
-  ensure_ft_section(ctx, d, theta);  // builds the AC section too
-  ensure_sr_section(ctx, d, theta);
-  return measure_with_context(ctx, d, s, theta);
-}
-
-namespace {
-void pack_performances(const FoldedCascode::Measurements& m, double* out) {
-  if (!m.valid) {
-    // Penalty values: fail every specification decisively but finitely.
-    out[0] = -20.0;  // A0 [dB]
-    out[1] = 0.0;    // ft [MHz]
-    out[2] = 0.0;    // CMRR [dB]
-    out[3] = 0.0;    // SR [V/us]
-    out[4] = 10.0;   // Power [mW]
-    return;
-  }
-  out[0] = m.a0_db;
-  out[1] = m.ft_mhz;
-  out[2] = m.cmrr_db;
-  out[3] = m.sr_v_per_us;
-  out[4] = m.power_mw;
-}
-}  // namespace
-
-linalg::PerfVec FoldedCascode::evaluate(const linalg::DesignVec& d,
-                                        const linalg::StatPhysVec& s,
-                                        const linalg::OperatingVec& theta) {
-  linalg::PerfVec out(5);
-  // Unwrap once: bench internals are untyped numeric code.
-  pack_performances(
-      measure(d.raw(), s.raw(), theta.raw()),  // space-ok: model boundary
-      &out[0]);
-  return out;
-}
-
-void FoldedCascode::evaluate_batch(const linalg::DesignVec& d_tagged,
-                                   linalg::StatPhysBlock s_tagged,
-                                   const linalg::OperatingVec& theta_tagged,
-                                   linalg::PerfBlockView out_tagged) {
-  // Unwrap once at the model boundary; internals are untyped.
-  const Vector& d = d_tagged.raw();                // space-ok: model boundary
-  const Vector& theta = theta_tagged.raw();        // space-ok: model boundary
-  linalg::ConstMatrixView s_block = s_tagged.raw();  // space-ok: model boundary
-  linalg::MatrixView out = out_tagged.raw();         // space-ok: model boundary
-  if (out.rows() != s_block.rows() || out.cols() != num_performances())
-    throw std::invalid_argument(
-        "FoldedCascode::evaluate_batch: out shape mismatch");
-  // Hoist the nominal solves (bias point, ft bracket, slew trajectory) out
-  // of the sample loop; every row then runs the same per-sample code as
-  // evaluate(), so the results are bitwise-identical to the scalar path.
-  DesignContext& ctx = design_context(d, theta);
-  ensure_ft_section(ctx, d, theta);
-  ensure_sr_section(ctx, d, theta);
-  if (batch_s_.size() != s_block.cols()) batch_s_ = Vector(s_block.cols());
-  for (std::size_t j = 0; j < s_block.rows(); ++j) {
-    const double* row = s_block.row(j);
-    for (std::size_t i = 0; i < batch_s_.size(); ++i) batch_s_[i] = row[i];
-    pack_performances(measure_with_context(ctx, d, batch_s_, theta),
-                      out.row(j));
-  }
-}
-
-Vector FoldedCascode::saturation_margins(const Vector& d) {
-  const Vector s0(Stats::kCount);
-  Vector theta{options_.process.envelope.temp_nom_k,
-               options_.process.envelope.vdd_nom};
-  DesignContext& ctx = design_context(d, theta);
-  ensure_ac_section(ctx, d, theta);
-  Vector margins(11);
-  if (!ctx.ac_converged) {
-    margins.fill(-1.0);
-    return margins;
-  }
-  // The constraint point IS the context's nominal operating point: only
-  // the device state needs re-binding, no extra DC solve.
-  Bench& ac = *ac_bench_;
-  apply(ac, d, s0, theta);
-  const Conditions conditions{theta[0]};
-  for (std::size_t i = 0; i < 11; ++i) {
-    const Mosfet* mos = ac.signal[i];
-    const auto voltage = [&](NodeId n) {
-      return n == circuit::kGround ? 0.0 : ctx.op_ac[n - 1];
-    };
-    const circuit::MosEval eval = mos->evaluate_at(
-        voltage(mos->drain()), voltage(mos->gate()), voltage(mos->source()),
-        voltage(mos->bulk()), conditions.temperature_k);
-    const double p = mos->type() == MosType::kNmos ? 1.0 : -1.0;
-    const double vds = p * (voltage(mos->drain()) - voltage(mos->source()));
-    margins[i] = vds - eval.vdsat - options_.sat_margin;
-  }
-  return margins;
-}
-
-Vector FoldedCascode::constraints(const linalg::DesignVec& d) {
-  return saturation_margins(d.raw());  // space-ok: untyped model-detail helper
 }
 
 std::unique_ptr<core::PerformanceModel> FoldedCascode::clone() const {

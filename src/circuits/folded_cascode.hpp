@@ -2,12 +2,9 @@
 //
 // NMOS input pair folded into a PMOS cascode with an NMOS cascode current
 // mirror as load; biased from a single reference current through mirror
-// diodes; cascode gates from supply-referenced voltage sources.  Two
-// testbench netlists share the sizing:
-//   * an open-loop AC bench with a DC-only feedback path (1 GOhm / 1 F:
-//     closes the loop at DC so the operating point is biased, transparent
-//     to every AC frequency of interest) measuring A0, f_t, CMRR, power;
-//   * a unity-gain transient bench measuring the positive slew rate.
+// diodes; cascode gates from supply-referenced voltage sources.  Measured
+// on the shared opamp testbenches (circuits/opamp_harness.hpp) with CMRR
+// as the third performance.
 //
 // Performances (in spec order): A0 [dB], f_t [MHz], CMRR [dB],
 // SR+ [V/us], Power [mW].
@@ -22,17 +19,13 @@
 // the eleven signal-path transistors.
 #pragma once
 
-#include <array>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "circuits/opamp_harness.hpp"
 #include "circuits/process.hpp"
 #include "core/problem.hpp"
-#include "linalg/system_matrix.hpp"
-#include "sim/ac.hpp"
-#include "sim/solver.hpp"
 
 namespace mayo::circuits {
 
@@ -62,62 +55,30 @@ struct FoldedCascodeStats {
   };
 };
 
-class FoldedCascode final : public core::PerformanceModel {
+class FoldedCascode final : public OpampHarness {
  public:
-  struct Options {
+  /// Bench settings (saturation margin, slew step, solver) come from
+  /// OpampHarness::BenchOptions; the slew bench runs 120 ns at 0.5 ns steps.
+  struct Options : BenchOptions {
+    Options() : BenchOptions(120e-9, 0.5e-9) {}
+
     Process process = default_process();
     double length = 1e-6;       ///< channel length of all signal devices [m]
     double bias_width = 20e-6;  ///< width of the bias diodes [m]
     double load_cap = 1.6e-12;  ///< output load [F]
     double vcasc_p = 1.8;       ///< PMOS cascode bias below VDD [V]
     double vcasc_n = 1.5;       ///< NMOS cascode bias above ground [V]
-    double sat_margin = 0.05;   ///< required saturation margin [V]
-    double sr_step = 0.5;       ///< input step of the slew bench [V]
-    double sr_t_stop = 120e-9;  ///< transient duration [s]
-    double sr_dt = 0.5e-9;      ///< transient step [s]
-    /// Linear-solver backend selection for every bench solve (kAuto keeps
-    /// this opamp-scale netlist on the dense fast path; tests force
-    /// kSparse to pin dense/sparse equivalence).
-    linalg::SolverOptions solver;
   };
 
   FoldedCascode();  ///< default options
   explicit FoldedCascode(Options options);
-  ~FoldedCascode() override;
 
   // -- PerformanceModel ----------------------------------------------------
-  std::size_t num_performances() const override { return 5; }
-  std::size_t num_constraints() const override { return 11; }
   std::vector<std::string> constraint_names() const override;
   std::unique_ptr<core::PerformanceModel> clone() const override;
-  linalg::PerfVec evaluate(const linalg::DesignVec& d,
-                           const linalg::StatPhysVec& s,
-                           const linalg::OperatingVec& theta) override;
-  /// Native batch path: the per-(d, theta) nominal solves (bias point, ft
-  /// bracket, slew trajectory) are built once and every sample row reuses
-  /// them as warm starts.  Row results are bitwise-identical to evaluate()
-  /// because both run the same per-sample code against the same context.
-  void evaluate_batch(const linalg::DesignVec& d, linalg::StatPhysBlock s_block,
-                      const linalg::OperatingVec& theta,
-                      linalg::PerfBlockView out) override;
-  linalg::Vector constraints(const linalg::DesignVec& d) override;
 
-  /// Detailed measurement access for sweeps and figures.  Deliberately
-  /// untyped (raw vectors): callers sweep arbitrary ad-hoc points.
-  struct Measurements {
-    double a0_db = 0.0;
-    double ft_mhz = 0.0;
-    double cmrr_db = 0.0;
-    double sr_v_per_us = 0.0;
-    double power_mw = 0.0;
-    bool valid = false;  ///< false when the DC solve failed
-  };
-  Measurements measure(const linalg::Vector& d, const linalg::Vector& s,
-                       const linalg::Vector& theta);
-
-  /// Saturation margins (vds - vdsat - margin_min) of the 11 transistors at
-  /// nominal statistics and operating conditions.
-  linalg::Vector saturation_margins(const linalg::Vector& d);
+  /// measure() result; cmrr_db is the third performance.
+  using Measurements = OpampMeasurements;
 
   /// Performance names in spec order.
   static std::vector<std::string> performance_names();
@@ -138,44 +99,14 @@ class FoldedCascode final : public core::PerformanceModel {
   static linalg::Vector initial_design();
 
  private:
-  struct Bench;          // one netlist + device handles
-  struct DesignContext;  // per-(d, theta) nominal solves shared by samples
-
-  static std::unique_ptr<Bench> build_bench(const Options& options, bool unity);
-  void apply(Bench& bench, const linalg::Vector& d, const linalg::Vector& s,
-             const linalg::Vector& theta) const;
-  /// Context for (d, theta), created empty on first use (FIFO-bounded
-  /// cache).  Sections are filled lazily by the ensure_* helpers; all
-  /// content is a pure function of (d, theta), so eviction can never
-  /// change a result, only its cost.
-  DesignContext& design_context(const linalg::Vector& d,
-                                const linalg::Vector& theta);
-  void ensure_ac_section(DesignContext& ctx, const linalg::Vector& d,
-                         const linalg::Vector& theta);
-  void ensure_ft_section(DesignContext& ctx, const linalg::Vector& d,
-                         const linalg::Vector& theta);
-  void ensure_sr_section(DesignContext& ctx, const linalg::Vector& d,
-                         const linalg::Vector& theta);
-  Measurements measure_with_context(DesignContext& ctx,
-                                    const linalg::Vector& d,
-                                    const linalg::Vector& s,
-                                    const linalg::Vector& theta);
+  static Topology topology(const Options& options);
+  static std::unique_ptr<OpampBench> build_bench(const Options& options,
+                                                 bool unity);
+  void apply(OpampBench& bench, const linalg::Vector& d,
+             const linalg::Vector& s,
+             const linalg::Vector& theta) const override;
 
   Options options_;
-  std::unique_ptr<Bench> ac_bench_;   ///< open-loop AC testbench
-  std::unique_ptr<Bench> sr_bench_;   ///< unity-gain transient testbench
-  std::vector<std::unique_ptr<DesignContext>> contexts_;  ///< FIFO cache
-  std::vector<std::uint64_t> context_key_;  ///< key-building scratch
-  linalg::Vector batch_s_;                  ///< row scratch for batches
-  /// Reusable small-signal workspace.  Every use fully re-stamps it, so it
-  /// carries cost (buffers, factors) but never results between calls.
-  sim::AcSession ac_session_;
-  /// Newton linear-system workspaces, one per bench (the benches differ
-  /// in size; sharing one would thrash the sparse pattern and symbolic
-  /// analysis on every alternation).  Like the session, they carry only
-  /// cost between calls; clone() gives each parallel worker fresh ones.
-  sim::LinearSystem newton_ac_;
-  sim::LinearSystem newton_sr_;
 };
 
 }  // namespace mayo::circuits

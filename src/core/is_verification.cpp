@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "core/check.hpp"
+#include "core/worker_pool.hpp"
 #include "obs/obs.hpp"
 #include "stats/rng.hpp"
 
@@ -18,15 +17,12 @@ using linalg::DesignVec;
 using linalg::Matrixd;
 using linalg::MatrixView;
 using linalg::OperatingVec;
-using linalg::StatUnitVec;
 
 namespace detail {
 
 void IsAccumulator::add(bool fail, double w) {
   MAYO_CHECK_FINITE(w, "importance_sample_verify: likelihood ratio");
   ++count;
-  sum_w += w;
-  sum_w2 += w * w;
   if (fail) {
     ++fails;
     sum_fw += w;
@@ -37,8 +33,6 @@ void IsAccumulator::add(bool fail, double w) {
 void IsAccumulator::merge(const IsAccumulator& other) {
   count += other.count;
   fails += other.fails;
-  sum_w += other.sum_w;
-  sum_w2 += other.sum_w2;
   sum_fw += other.sum_fw;
   sum_fw2 += other.sum_fw2;
 }
@@ -48,7 +42,7 @@ double IsAccumulator::ess() const {
 }
 
 SpecIsEstimate finalize_estimate(std::size_t spec, const IsAccumulator& acc,
-                                 double shift_norm,
+                                 double shift_norm, double lobe_share,
                                  const IsVerificationOptions& options) {
   SpecIsEstimate estimate;
   estimate.spec = spec;
@@ -57,7 +51,7 @@ SpecIsEstimate finalize_estimate(std::size_t spec, const IsAccumulator& acc,
   estimate.shift_norm = shift_norm;
   estimate.ess = acc.ess();
   if (acc.count == 0) {
-    // No draws: no information.  Vacuous interval, no fallback.
+    // No draws: no information.  Vacuous interval.
     estimate.lower = 0.0;
     estimate.upper = 1.0;
     return estimate;
@@ -67,53 +61,48 @@ SpecIsEstimate finalize_estimate(std::size_t spec, const IsAccumulator& acc,
     // No failing draw (or every failing weight underflowed).  The Wilson
     // upper bound at the raw count caps the proposal-mass a miss could
     // hide, but each missed failure enters p_hat with its likelihood
-    // ratio, and over the linearized failure half-space
-    // {s_wc . s >= beta^2} the ratio is bounded:
-    //   w(s) = exp(|mu|^2/2 - mu . s) <= exp(|mu|^2 (1/2 - 1/scale)),
-    // which is exp(-beta^2/2) at the default shift_scale = 1.  Scaling
-    // the Wilson bound by that cap keeps a far-out spec (beta large,
-    // zero observed failures) from dominating the yield bracket -- the
-    // one model-assisted step in the CI; see DESIGN.md section 13.  A
-    // zero shift (or scale >= 2) degrades the cap to 1, i.e. back to
-    // the assumption-free plain Wilson bound.
+    // ratio, and over the linearized failure region the ratio is bounded.
+    // A single shift (mu = s_wc) covers the half-space {mu . s >= beta^2}:
+    //   w(s) = exp(|mu|^2/2 - mu . s) <= exp(-|mu|^2 / 2).
+    // The two-lobe mixture covers {t >= beta^2} and {t <= -beta^2}
+    // (t = mu . s), where
+    //   w(s) = exp(|mu|^2/2) / (a+ e^t + a- e^-t)
+    //       <= exp(-|mu|^2 / 2) / min(a+, a-).
+    // Scaling the Wilson bound by that cap keeps a far-out spec (beta
+    // large, zero observed failures) from dominating the yield bracket --
+    // the one model-assisted step in the CI; see DESIGN.md section 13.  A
+    // zero shift degrades the cap to 1, i.e. back to the assumption-free
+    // plain Wilson bound, and so does a lobe no draw was centred on.
     estimate.fail_probability = 0.0;
     const stats::YieldInterval ci =
         stats::weighted_yield_confidence(0.0, n, options.z);
-    double weight_cap = 1.0;
-    if (options.shift_scale > 0.0 && shift_norm > 0.0)
-      weight_cap = std::min(
-          1.0, std::exp(shift_norm * shift_norm *
-                        (0.5 - 1.0 / options.shift_scale)));
+    const double weight_cap =
+        lobe_share > 0.0
+            ? std::min(1.0, std::exp(-0.5 * shift_norm * shift_norm) /
+                                lobe_share)
+            : 1.0;
     estimate.lower = ci.lower;
     estimate.upper = std::min(1.0, ci.upper * weight_cap);
     return estimate;
   }
 
-  // Degeneracy gauge: weight-effective count of FAILING draws.  (The
+  // Degeneracy diagnostic: weight-effective count of FAILING draws.  (The
   // all-draws ESS decays like n e^{-beta^2} even for a healthy shift --
   // the big weights live where f = 0 and never touch p_hat -- so it
-  // would misfire exactly in the high-beta regime.)
-  estimate.self_normalized =
-      estimate.ess < options.ess_fraction * static_cast<double>(acc.fails);
+  // would misfire exactly in the high-beta regime.)  Even the failing
+  // draws' weights spread with beta: a healthy shift of a linear spec has
+  // ESS_f / n_f -> 4 phi(0) / beta ~ 1.6 / beta (DESIGN.md section 13),
+  // so the threshold is a share of that healthy value, not of n_f.
+  const double healthy_share = shift_norm > 1.6 ? 1.6 / shift_norm : 1.0;
+  estimate.low_ess = estimate.ess < kLowEssFraction * healthy_share *
+                                        static_cast<double>(acc.fails);
 
+  // Unbiased likelihood-ratio estimate and the variance of its mean,
+  // (1/n) * sample variance of the terms f w.
   const double p_unbiased = acc.sum_fw / n;
-  // sum_w >= sum_fw > 0 in this branch, so the ratio is well defined.
-  const double p_self = acc.sum_fw / acc.sum_w;
-  const double p_raw = estimate.self_normalized ? p_self : p_unbiased;
-  estimate.fail_probability = std::clamp(p_raw, 0.0, 1.0);
-
-  // Variance of the chosen estimator's mean:
-  //   unbiased:        Var = (1/n) * sample variance of the terms f w
-  //   self-normalized: delta method,
-  //                    Var = n * sum_j w_j^2 (f_j - p~)^2 / (sum w)^2.
-  double var_mean;
-  if (estimate.self_normalized) {
-    const double resid = acc.sum_fw2 * (1.0 - p_self) * (1.0 - p_self) +
-                         (acc.sum_w2 - acc.sum_fw2) * p_self * p_self;
-    var_mean = n * std::max(resid, 0.0) / (acc.sum_w * acc.sum_w);
-  } else {
-    var_mean = std::max(acc.sum_fw2 / n - p_unbiased * p_unbiased, 0.0) / n;
-  }
+  estimate.fail_probability = std::clamp(p_unbiased, 0.0, 1.0);
+  const double var_mean =
+      std::max(acc.sum_fw2 / n - p_unbiased * p_unbiased, 0.0) / n;
 
   // Wilson-analogue interval at the variance-matched effective count
   // n_eff = p (1 - p) / Var(p_hat); for unit weights this recovers the
@@ -188,43 +177,32 @@ struct WorkerContext {
 /// folds the per-block tallies into `total` in ascending block order --
 /// the merge sequence that makes serial and parallel runs bitwise equal.
 void run_round(const DesignVec& d, std::size_t spec, std::uint64_t round_id,
-               std::size_t count, const StatUnitVec& mu,
+               std::size_t count, const WorstCasePoint& wc,
                const OperatingVec& theta, const IsVerificationOptions& options,
                detail::IsBlockEvaluator& serial_engine,
                std::vector<std::unique_ptr<WorkerContext>>& workers,
                detail::IsAccumulator& total) {
   const stats::ShiftedSampler sampler(
-      count, mu, stats::substream_seed(options.seed, spec, round_id));
+      count, wc.s_wc, stats::substream_seed(options.seed, spec, round_id),
+      wc.mirrored);
   const std::size_t block_size = std::max<std::size_t>(options.block_size, 1);
   const std::size_t num_blocks = (count + block_size - 1) / block_size;
   std::vector<detail::IsAccumulator> block_accs(num_blocks);
 
-  const std::size_t pool =
-      std::min<std::size_t>(workers.size(), num_blocks);
+  const unsigned pool = static_cast<unsigned>(
+      std::min<std::size_t>(workers.size(), num_blocks));
   if (pool > 1) {
     // Blocks go to worker b % pool; each worker writes only its own
     // slots of block_accs (disjoint memory locations).
-    std::vector<std::exception_ptr> worker_errors(pool);
-    std::vector<std::thread> threads;
-    threads.reserve(pool);
-    for (std::size_t t = 0; t < pool; ++t) {
-      threads.emplace_back([&, t]() {  // parallel-entry
-        try {
-          WorkerContext& ctx = *workers[t];
-          for (std::size_t b = t; b < num_blocks; b += pool) {
-            const std::size_t first = b * block_size;
-            const std::size_t n = std::min(block_size, count - first);
-            ctx.engine->run_block(d, spec, theta, sampler, first, n,
-                                  block_accs[b]);
-          }
-        } catch (...) {
-          worker_errors[t] = std::current_exception();
-        }
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
-    for (const std::exception_ptr& error : worker_errors)
-      if (error) std::rethrow_exception(error);
+    run_workers(pool, [&](unsigned t) {  // parallel-entry
+      WorkerContext& ctx = *workers[t];
+      for (std::size_t b = t; b < num_blocks; b += pool) {
+        const std::size_t first = b * block_size;
+        const std::size_t n = std::min(block_size, count - first);
+        ctx.engine->run_block(d, spec, theta, sampler, first, n,
+                              block_accs[b]);
+      }
+    });
   } else {
     for (std::size_t b = 0; b < num_blocks; ++b) {
       const std::size_t first = b * block_size;
@@ -237,19 +215,36 @@ void run_round(const DesignVec& d, std::size_t spec, std::uint64_t round_id,
   for (std::size_t b = 0; b < num_blocks; ++b) total.merge(block_accs[b]);
 }
 
+/// The smallest share of a round's draws centred on one failure lobe of
+/// the spec (finalize_estimate's `lobe_share`): 1 for a single shift; the
+/// two-lobe sampler puts draw j on -mu for odd j, i.e. floor(n / 2) of a
+/// round's n draws, so the smallest share over the round sizes in use.
+double lobe_share(const WorstCasePoint& wc,
+                  const IsVerificationOptions& options) {
+  if (!wc.mirrored) return 1.0;
+  const auto share = [](std::size_t n) {
+    return static_cast<double>(n / 2) / static_cast<double>(n);
+  };
+  double smallest = share(options.initial_samples);
+  if (options.max_rounds > 0)
+    smallest = std::min(smallest, share(options.round_samples));
+  return smallest;
+}
+
 }  // namespace
 
 IsVerificationResult importance_sample_verify(
     Evaluator& evaluator, const DesignVec& d,
     const std::vector<OperatingVec>& theta_wc,
-    const std::vector<StatUnitVec>& s_wc,
+    const std::vector<WorstCasePoint>& worst_cases,
     const IsVerificationOptions& options) {
   const std::size_t num_specs = evaluator.num_specs();
   if (theta_wc.size() != num_specs)
     throw std::invalid_argument(
         "importance_sample_verify: theta_wc size mismatch");
-  if (s_wc.size() != num_specs)
-    throw std::invalid_argument("importance_sample_verify: s_wc size mismatch");
+  if (worst_cases.size() != num_specs)
+    throw std::invalid_argument(
+        "importance_sample_verify: worst_cases size mismatch");
   if (options.initial_samples == 0)
     throw std::invalid_argument(
         "importance_sample_verify: initial_samples must be positive (an "
@@ -258,16 +253,11 @@ IsVerificationResult importance_sample_verify(
     throw std::invalid_argument(
         "importance_sample_verify: round_samples must be positive when "
         "adaptive rounds are enabled");
-  for (const StatUnitVec& point : s_wc)
-    if (point.size() != evaluator.num_statistical())
+  for (const WorstCasePoint& wc : worst_cases)
+    if (wc.s_wc.size() != evaluator.num_statistical())
       throw std::invalid_argument(
           "importance_sample_verify: s_wc dimension mismatch");
   const obs::Span span(obs::registry().phases.is_verification);
-
-  // Per-spec proposal means mu_i = shift_scale * s_wc_i.
-  std::vector<StatUnitVec> mu;
-  mu.reserve(num_specs);
-  for (const StatUnitVec& point : s_wc) mu.push_back(point * options.shift_scale);
 
   const std::size_t evals_before = evaluator.counts().verification;
   const std::size_t block_size = std::max<std::size_t>(options.block_size, 1);
@@ -276,13 +266,10 @@ IsVerificationResult importance_sample_verify(
   // Worker pool, built once and reused by every round.  Capped by the
   // largest number of blocks any single round can have -- extra workers
   // would only pay the model-clone cost and then idle.
-  unsigned threads = options.threads;
-  if (threads == 0)
-    threads = std::max(1u, std::thread::hardware_concurrency());
   const std::size_t round_cap =
       std::max(options.initial_samples, options.round_samples);
-  threads = static_cast<unsigned>(std::min<std::size_t>(
-      threads, (round_cap + block_size - 1) / block_size));
+  const unsigned threads = resolve_threads(
+      options.threads, (round_cap + block_size - 1) / block_size);
   std::vector<std::unique_ptr<WorkerContext>> workers;
   if (threads > 1 && evaluator.problem().model->clone() != nullptr) {
     workers.reserve(threads);
@@ -298,10 +285,11 @@ IsVerificationResult importance_sample_verify(
   // Round 0: every spec gets its initial allocation (sub-stream
   // (spec, 0)).
   for (std::size_t i = 0; i < num_specs; ++i) {
-    run_round(d, i, 0, options.initial_samples, mu[i], theta_wc[i], options,
-              serial_engine, workers, totals[i]);
-    estimates[i] =
-        detail::finalize_estimate(i, totals[i], mu[i].norm(), options);
+    run_round(d, i, 0, options.initial_samples, worst_cases[i], theta_wc[i],
+              options, serial_engine, workers, totals[i]);
+    estimates[i] = detail::finalize_estimate(
+        i, totals[i], worst_cases[i].s_wc.norm(),
+        lobe_share(worst_cases[i], options), options);
   }
 
   // Adaptive rounds: spend each round's budget on the spec with the
@@ -315,11 +303,12 @@ IsVerificationResult importance_sample_verify(
     if (options.target_half_width > 0.0 &&
         estimates[widest].half_width() <= options.target_half_width)
       break;
-    run_round(d, widest, r, options.round_samples, mu[widest],
+    run_round(d, widest, r, options.round_samples, worst_cases[widest],
               theta_wc[widest], options, serial_engine, workers,
               totals[widest]);
-    estimates[widest] = detail::finalize_estimate(widest, totals[widest],
-                                                  mu[widest].norm(), options);
+    estimates[widest] = detail::finalize_estimate(
+        widest, totals[widest], worst_cases[widest].s_wc.norm(),
+        lobe_share(worst_cases[widest], options), options);
     ++rounds;
     tallies.mc_is_rounds.add();
   }
@@ -340,7 +329,7 @@ IsVerificationResult importance_sample_verify(
     sum_p += estimate.fail_probability;
     sum_upper += estimate.upper;
     max_lower = std::max(max_lower, estimate.lower);
-    if (estimate.self_normalized) tallies.mc_is_ess_fallbacks.add();
+    if (estimate.low_ess) tallies.mc_is_low_ess.add();
   }
   result.yield = std::clamp(1.0 - sum_p, 0.0, 1.0);
   result.confidence = {result.yield, std::clamp(1.0 - sum_upper, 0.0, 1.0),

@@ -6,8 +6,8 @@
 // failure events that become exponentially rare as the optimizer pushes
 // every worst-case distance beta_i outwards.  The worst-case point
 // s_wc_i of eq. (8) is the most probable failure realization of spec i;
-// shifting the sampler there (proposal N(s_wc_i, I)) and correcting
-// every draw by the exact likelihood ratio
+// shifting the sampler there (proposal N(mu_i, I), mu_i = s_wc_i) and
+// correcting every draw by the exact likelihood ratio
 // w(s) = exp(mu^T mu / 2 - mu^T s) puts about half of the samples on
 // the failing side of the spec boundary regardless of beta.  For a
 // locally linear margin the variance ratio against plain MC is
@@ -17,26 +17,27 @@
 //
 // about 5x at beta ~ 1.3 and beyond 200x at beta ~ 3.
 //
-// Per-spec estimators of the failure probability
-// p_i = P(margin_i(d, s, theta_wc_i) < 0):
+// Mirrored specs (quadratic mismatch performances, eq. 21-22) fail on
+// BOTH sides, near s_wc and near -s_wc.  A single shift to s_wc never
+// visits the far lobe and underestimates p_i.  Their proposal is the
+// two-lobe mixture a+ N(mu, I) + a- N(-mu, I) -- the draws alternate
+// between the lobes by sample index, so a+/a- are the lobe shares of a
+// round's draws (1/2 each for an even count) -- with the exact mixture
+// likelihood ratio
 //
-//   unbiased LR:      p_hat   = (1/N) sum_j f_j w_j   (f_j = 1{fail})
-//   self-normalized:  p_tilde = sum_j f_j w_j / sum_j w_j
+//   w(s) = exp(mu^T mu / 2) / (a+ e^{t} + a- e^{-t}) ,   t = mu^T s .
 //
-// The self-normalized form (consistent, O(1/N) bias, bounded by
-// construction) replaces the unbiased one when the weights degenerate.
-// The degeneracy gauge is the FAILURE-restricted effective sample size
-// ESS_f = (sum_f w)^2 / sum_f w^2 compared against the failing-draw
-// count: the all-draws ESS (sum w)^2 / sum w^2 decays like N e^{-b^2}
-// for a shift of norm b even when the estimator is healthy (the large
-// weights sit exactly where f = 0 and never enter p_hat), so it would
-// misfire in the high-beta regime this verifier exists for.  The
-// confidence interval is the Wilson-analogue
-// (stats::weighted_yield_confidence) at the variance-matched effective
-// count n_eff = p (1 - p) / Var(p_hat), where Var(p_hat) is the sample
-// variance of the weighted estimator terms -- for unit weights this is
-// exactly the plain Wilson interval.  The interval is widened where
-// necessary to cover the reported point estimate.
+// Per-spec estimator of the failure probability
+// p_i = P(margin_i(d, s, theta_wc_i) < 0): the unbiased likelihood-ratio
+// mean p_hat = (1/N) sum_j f_j w_j (f_j = 1{fail}); the weights are exact,
+// so no self-normalization is needed.  The confidence interval is the
+// Wilson-analogue (stats::weighted_yield_confidence) at the
+// variance-matched effective count n_eff = p (1 - p) / Var(p_hat), where
+// Var(p_hat) is the sample variance of the terms f_j w_j over N -- for
+// unit weights this is exactly the plain Wilson interval.  The interval
+// is widened where necessary to cover the reported point estimate.  The
+// failure-restricted effective sample size
+// ESS_f = (sum_f w)^2 / sum_f w^2 is reported per spec as a diagnostic.
 //
 // Yield bracket: the per-spec failure CIs combine through the Frechet
 // bounds  max_i p_i <= P(any spec fails) <= sum_i p_i,  giving the
@@ -61,6 +62,7 @@
 #include <vector>
 
 #include "core/evaluator.hpp"
+#include "core/wc_distance.hpp"
 #include "stats/shifted_sampler.hpp"
 #include "stats/summary.hpp"
 
@@ -80,13 +82,6 @@ struct IsVerificationOptions {
   /// a FIXED block size, but different block sizes regroup the floating
   /// sums and may differ in the last ulp.
   std::size_t block_size = 32;
-  /// Proposal mean mu_i = shift_scale * s_wc_i.  1.0 is the classic
-  /// worst-case mean shift; larger values are useful only to provoke
-  /// the ESS fallback in tests.
-  double shift_scale = 1.0;
-  /// Self-normalized fallback threshold on the failure-restricted
-  /// effective sample size: ESS_f < ess_fraction * (failing draws).
-  double ess_fraction = 0.2;
   double z = 1.96;  ///< CI width (1.96 ~ 95%)
   /// Worker threads: 1 = serial, 0 = hardware concurrency.  Results are
   /// bitwise identical for every thread count; only evaluation-cache
@@ -107,7 +102,10 @@ struct SpecIsEstimate {
   /// (sum_f w)^2 / sum_f w^2 -- the weight-effective number of failing
   /// draws behind the estimate (0 when none fail).
   double ess = 0.0;
-  bool self_normalized = false;   ///< ESS fallback triggered
+  /// Diagnostic: ess falls below kLowEssFraction of what a healthy shift
+  /// of this norm yields (about min(1, 1.6 / |mu|) * fails), i.e. a few
+  /// large weights carry the estimate (counted in mc.is.ess_fallbacks).
+  bool low_ess = false;
   double shift_norm = 0.0;        ///< ||mu_i|| of the proposal
 
   double half_width() const { return 0.5 * (upper - lower); }
@@ -123,15 +121,20 @@ struct IsVerificationResult {
   std::size_t rounds = 0;       ///< adaptive rounds run (round 0 excluded)
 };
 
+/// Failure-restricted ESS below this share of a healthy shift's ESS marks
+/// a spec's estimate low_ess.
+inline constexpr double kLowEssFraction = 0.2;
+
 /// Runs the importance-sampled verification at design d.  `theta_wc` and
-/// `s_wc` give the worst-case operating point and worst-case statistical
-/// point of every spec (index = spec; both must have num_specs entries)
-/// -- exactly what build_linearizations already computed, reused at no
-/// extra simulation cost.
+/// `worst_cases` give the worst-case operating point and worst-case point
+/// of every spec (index = spec; both must have num_specs entries) --
+/// exactly what build_linearizations already computed, reused at no
+/// extra simulation cost.  Each spec's proposal is centred on its s_wc,
+/// with the two-lobe mixture when the point is mirrored.
 IsVerificationResult importance_sample_verify(
     Evaluator& evaluator, const linalg::DesignVec& d,
     const std::vector<linalg::OperatingVec>& theta_wc,
-    const std::vector<linalg::StatUnitVec>& s_wc,
+    const std::vector<WorstCasePoint>& worst_cases,
     const IsVerificationOptions& options = {});
 
 namespace detail {
@@ -143,8 +146,6 @@ namespace detail {
 struct IsAccumulator {
   std::size_t count = 0;
   std::size_t fails = 0;
-  double sum_w = 0.0;    ///< sum of w_j over all draws
-  double sum_w2 = 0.0;   ///< sum of w_j^2 over all draws
   double sum_fw = 0.0;   ///< sum of w_j over failing draws
   double sum_fw2 = 0.0;  ///< sum of w_j^2 over failing draws
 
@@ -160,14 +161,16 @@ struct IsAccumulator {
 
 /// Turns a spec's accumulated tallies into the estimate + Wilson-analogue
 /// CI (pure function; shared by the allocator loop and the final result
-/// assembly so both see identical numbers).  With zero observed failures
-/// the upper bound is the Wilson bound scaled by the likelihood-ratio cap
-/// exp(|mu|^2 (1/2 - 1/shift_scale)) over the linearized failure
-/// half-space -- the one model-assisted step in the CI, without which a
-/// far-out spec (beta large, no failures at any affordable budget) would
+/// assembly so both see identical numbers).  `lobe_share` is the smallest
+/// share of the proposal's draws centred on one failure lobe: 1 for a
+/// single shift, min(a+, a-) for the two-lobe mixture.  With zero observed
+/// failures the upper bound is the Wilson bound scaled by the
+/// likelihood-ratio cap exp(-|mu|^2 / 2) / lobe_share over the linearized
+/// failure region -- the one model-assisted step in the CI, without which
+/// a far-out spec (beta large, no failures at any affordable budget) would
 /// dominate the Frechet yield bracket.
 SpecIsEstimate finalize_estimate(std::size_t spec, const IsAccumulator& acc,
-                                 double shift_norm,
+                                 double shift_norm, double lobe_share,
                                  const IsVerificationOptions& options);
 
 /// Block-evaluation engine of the IS verifier: evaluates shifted-sample

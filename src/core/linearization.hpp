@@ -61,22 +61,23 @@ struct LinearizedModels {
 };
 
 /// Builds theta_wc, the worst-case points and the linear models at d_f.
+///
+/// With threads > 1 (0 = hardware concurrency) the per-spec worst-case
+/// distance searches and design gradients -- the dominant cost of one
+/// optimizer iteration -- fan out over workers, each with its own cloned
+/// model and evaluator.  Spec i goes to worker i % threads, results are
+/// merged in ascending spec order, and model evaluations are pure
+/// functions of (d, s, theta) (see evaluator.hpp), so every returned
+/// model, worst-case point and operating corner is bitwise identical to
+/// the single-threaded run.  Worker evaluation counts are charged to
+/// `evaluator`'s optimization budget; only the cache-hit pattern (and
+/// hence the counters) can differ, because workers start with cold
+/// caches.  The run stays on the caller's evaluator when threads <= 1,
+/// the model is not clonable, or the nominal ablation is on (its shared
+/// finite-difference batch is already one evaluation block).
 LinearizedModels build_linearizations(Evaluator& evaluator,
                                       const linalg::DesignVec& d_f,
-                                      const LinearizationOptions& options = {});
-
-namespace detail {
-
-/// Appends the primary model for one spec -- and, when `enable_mirror` and
-/// the worst-case search detected a quadratic performance, the mirrored
-/// model (eq. 21-22) -- to `out.models`.  Shared by the serial loop in
-/// build_linearizations and the parallel fan-out in core/parallel, so the
-/// two paths assemble bitwise-identical models from identical inputs.
-void append_spec_models(std::size_t spec, const linalg::OperatingVec& theta_wc,
-                        const linalg::DesignVec& d_f, const WorstCasePoint& wc,
-                        linalg::DesignVec grad_d, bool enable_mirror,
-                        LinearizedModels& out);
-
-}  // namespace detail
+                                      const LinearizationOptions& options = {},
+                                      unsigned threads = 1);
 
 }  // namespace mayo::core

@@ -45,7 +45,7 @@ struct YieldOptimizerOptions {
   bool monotone_safeguard = true;
   LinearizationOptions linearization;
   /// Worker threads for the per-spec worst-case searches of every
-  /// (re-)linearization (see parallel_build_linearizations): 1 = serial,
+  /// (re-)linearization (see build_linearizations): 1 = serial,
   /// 0 = hardware concurrency.  Results are bitwise identical to serial;
   /// only the evaluation-cache hit pattern (and hence the counters) can
   /// differ, because each worker starts with a cold cache.

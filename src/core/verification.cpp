@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/check.hpp"
+#include "core/worker_pool.hpp"
 #include "obs/obs.hpp"
 #include "stats/sampler.hpp"
 
@@ -92,10 +93,45 @@ CornerGrouping group_corners(const std::vector<OperatingVec>& theta_wc) {
   return grouping;
 }
 
+namespace {
+
+/// One worker's share of a verification run; merged in worker order.
+struct WorkerResult {
+  std::size_t passing = 0;
+  std::vector<std::size_t> fails_per_spec;
+  std::vector<stats::RunningStats> perf_stats;
+  std::size_t evaluations = 0;  ///< spent on the worker's evaluator
+};
+
+/// Runs sample blocks t, t + stride, ... through a BlockVerifier on
+/// `evaluator` (the caller's, or a worker's own).
+WorkerResult verify_blocks(Evaluator& evaluator, const DesignVec& d,
+                           const stats::SampleSet& samples,
+                           const CornerGrouping& grouping,
+                           std::size_t block_size, unsigned t, unsigned stride,
+                           std::vector<std::uint8_t>* decisions) {
+  const std::size_t evals_before = evaluator.counts().verification;
+  detail::BlockVerifier verifier(evaluator, grouping, block_size);
+  for (std::size_t b = t; b * block_size < samples.count(); b += stride) {
+    const std::size_t first = b * block_size;
+    const std::size_t count = std::min(block_size, samples.count() - first);
+    verifier.run_block(d, samples, first, count, decisions);
+  }
+  WorkerResult out;
+  out.passing = verifier.passing();
+  out.fails_per_spec = verifier.fails_per_spec();
+  out.perf_stats = verifier.perf_stats();
+  out.evaluations = evaluator.counts().verification - evals_before;
+  return out;
+}
+
+}  // namespace
+
 VerificationResult monte_carlo_verify(
     Evaluator& evaluator, const DesignVec& d,
     const std::vector<OperatingVec>& theta_wc,
     const VerificationOptions& options) {
+  const YieldProblem& problem = evaluator.problem();
   const std::size_t num_specs = evaluator.num_specs();
   if (theta_wc.size() != num_specs)
     throw std::invalid_argument("monte_carlo_verify: theta_wc size mismatch");
@@ -106,34 +142,62 @@ VerificationResult monte_carlo_verify(
   const obs::Span span(obs::registry().phases.verification);
 
   const CornerGrouping grouping = group_corners(theta_wc);
-
   const stats::SampleSet samples(options.num_samples,
                                  evaluator.num_statistical(), options.seed);
+  const std::size_t block_size = std::max<std::size_t>(options.block_size, 1);
 
   VerificationResult result;
+  // Per-sample decisions: workers own disjoint strided blocks, so writing
+  // directly into the shared vector is race-free (distinct memory
+  // locations; verified under TSan by test_core_parallel_determinism).
   if (options.record_decisions) result.sample_pass.assign(samples.count(), 0);
-  const std::size_t evals_before = evaluator.counts().verification;
+  std::vector<std::uint8_t>* decisions =
+      options.record_decisions ? &result.sample_pass : nullptr;
 
-  const std::size_t block_size = std::max<std::size_t>(options.block_size, 1);
-  detail::BlockVerifier verifier(evaluator, grouping, block_size);
-  for (std::size_t first = 0; first < samples.count(); first += block_size) {
-    const std::size_t count = std::min(block_size, samples.count() - first);
-    verifier.run_block(d, samples, first, count,
-                       options.record_decisions ? &result.sample_pass
-                                                : nullptr);
+  const unsigned threads = resolve_threads(options.threads, samples.count());
+  const bool threaded = threads > 1 && problem.model->clone() != nullptr;
+  std::vector<WorkerResult> worker_results(threaded ? threads : 1);
+  if (!threaded) {
+    // One worker on the caller's evaluator: its counters and probe cache
+    // see every evaluation directly.
+    worker_results[0] = verify_blocks(evaluator, d, samples, grouping,
+                                      block_size, 0, 1, decisions);
+  } else {
+    run_workers(threads, [&](unsigned t) {  // parallel-entry
+      // Thread-local copy of the problem with a cloned model.
+      YieldProblem local = problem;
+      local.model = std::shared_ptr<PerformanceModel>(problem.model->clone());
+      Evaluator local_evaluator(local);
+      worker_results[t] = verify_blocks(local_evaluator, d, samples, grouping,
+                                        block_size, t, threads, decisions);
+    });
+    std::size_t worker_evaluations = 0;
+    for (const WorkerResult& wr : worker_results)
+      worker_evaluations += wr.evaluations;
+    evaluator.charge_verification(worker_evaluations);
   }
 
-  result.fails_per_spec = verifier.fails_per_spec();
-  const std::size_t passing = verifier.passing();
+  // Deterministic merge (worker order is fixed; merging one worker into
+  // empty accumulators copies it exactly).
+  result.fails_per_spec.assign(num_specs, 0);
+  std::vector<stats::RunningStats> merged(num_specs);
+  std::size_t passing = 0;
+  for (const WorkerResult& wr : worker_results) {
+    passing += wr.passing;
+    result.evaluations += wr.evaluations;
+    for (std::size_t i = 0; i < num_specs; ++i) {
+      result.fails_per_spec[i] += wr.fails_per_spec[i];
+      merged[i].merge(wr.perf_stats[i]);
+    }
+  }
   result.yield = static_cast<double>(passing) / samples.count();
   result.confidence = stats::yield_confidence(passing, samples.count());
   result.performance_mean.resize(num_specs);
   result.performance_stddev.resize(num_specs);
   for (std::size_t i = 0; i < num_specs; ++i) {
-    result.performance_mean[i] = verifier.perf_stats()[i].mean();
-    result.performance_stddev[i] = verifier.perf_stats()[i].stddev();
+    result.performance_mean[i] = merged[i].mean();
+    result.performance_stddev[i] = merged[i].stddev();
   }
-  result.evaluations = evaluator.counts().verification - evals_before;
   return result;
 }
 

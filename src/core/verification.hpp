@@ -6,6 +6,17 @@
 // worst-case operating point of every specification.  Evaluations are
 // shared between specifications with the same theta_wc, which implements
 // the paper's N* <= N * min(n_spec, 2^dim(Theta)) bound.
+//
+// The paper ran its experiments "on a network (100 Mbit/sec) of 5
+// computers in parallel" (Table 7).  The verification is embarrassingly
+// parallel over samples: with VerificationOptions::threads > 1 it fans
+// out over workers, each with its own deep copy of the performance model
+// (the models are stateful: netlists, Newton warm starts) and its own
+// evaluator.  Workers pull whole sample blocks (round-robin by block
+// index) through the same detail::BlockVerifier as the single-threaded
+// run, so the sample set, the per-sample decisions and the pass count are
+// identical for every thread count; only the floating-point accumulation
+// order of the reported moments depends on it.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +40,11 @@ struct VerificationOptions {
   /// row exactly like a scalar probe, and per-sample statistics are always
   /// accumulated in ascending sample order).
   std::size_t block_size = 32;
+  /// Worker threads: 1 = run on the caller's evaluator, 0 = hardware
+  /// concurrency.  Threaded runs need a clonable model (else they run on
+  /// the caller's evaluator too) and charge their workers' evaluations to
+  /// the caller's verification budget.
+  unsigned threads = 1;
 };
 
 struct VerificationResult {
@@ -41,7 +57,7 @@ struct VerificationResult {
   std::vector<double> performance_stddev;
   std::size_t evaluations = 0;            ///< model evaluations spent
   /// Per-sample pass decision (only with record_decisions; else empty).
-  /// Identical between the serial and parallel verifier by construction.
+  /// Identical for every thread count by construction.
   std::vector<std::uint8_t> sample_pass;
 };
 
@@ -54,7 +70,7 @@ struct CornerGrouping {
 CornerGrouping group_corners(const std::vector<linalg::OperatingVec>& theta_wc);
 
 /// Runs the verification at design d with the given per-spec worst-case
-/// operating points (index = spec).
+/// operating points (index = spec), on options.threads workers.
 VerificationResult monte_carlo_verify(
     Evaluator& evaluator, const linalg::DesignVec& d,
     const std::vector<linalg::OperatingVec>& theta_wc,
@@ -62,13 +78,13 @@ VerificationResult monte_carlo_verify(
 
 namespace detail {
 
-/// Block-evaluation engine shared by the serial and parallel verifiers:
-/// evaluates sample blocks corner-major through the Evaluator batch path
-/// and folds per-sample pass/fail decisions and performance statistics
-/// into its accumulators in ascending sample order.  Because both
-/// verifiers run the exact same code per sample, their decisions are
-/// identical by construction.  Not thread-safe; parallel workers own one
-/// verifier (plus one Evaluator) each.
+/// Block-evaluation engine of the verifier: evaluates sample blocks
+/// corner-major through the Evaluator batch path and folds per-sample
+/// pass/fail decisions and performance statistics into its accumulators
+/// in ascending sample order.  Every worker runs the exact same code per
+/// sample, so decisions are identical for every thread count by
+/// construction.  Not thread-safe; each worker owns one verifier (plus one
+/// Evaluator).
 class BlockVerifier {
  public:
   /// `evaluator` and `grouping` must outlive the verifier.  `block_size`

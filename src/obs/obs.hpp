@@ -181,7 +181,9 @@ struct Counters {
   Counter mc_is_samples;        ///< IS verification samples accumulated
   Counter mc_is_blocks;         ///< IS verification sample blocks evaluated
   Counter mc_is_rounds;         ///< adaptive IS allocation rounds completed
-  Counter mc_is_ess_fallbacks;  ///< per-spec estimates forced self-normalized
+  /// Per-spec IS estimates with a low failure-restricted effective
+  /// sample size (a weight-degeneracy diagnostic; key mc.is.ess_fallbacks).
+  Counter mc_is_low_ess;
 
   Counter sparse_symbolic;  ///< sparse symbolic analyses (once per topology)
   Counter sparse_refactor;  ///< sparse numeric refactorizations
@@ -210,7 +212,7 @@ struct Counters {
     mc_is_samples.reset();
     mc_is_blocks.reset();
     mc_is_rounds.reset();
-    mc_is_ess_fallbacks.reset();
+    mc_is_low_ess.reset();
     sparse_symbolic.reset();
     sparse_refactor.reset();
     sparse_solve.reset();
@@ -285,7 +287,7 @@ class Registry {
     fn("mc.is.samples", c.mc_is_samples.value());
     fn("mc.is.blocks", c.mc_is_blocks.value());
     fn("mc.is.rounds", c.mc_is_rounds.value());
-    fn("mc.is.ess_fallbacks", c.mc_is_ess_fallbacks.value());
+    fn("mc.is.ess_fallbacks", c.mc_is_low_ess.value());
     fn("sparse.symbolic", c.sparse_symbolic.value());
     fn("sparse.refactor", c.sparse_refactor.value());
     fn("sparse.solve", c.sparse_solve.value());

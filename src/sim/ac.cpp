@@ -130,12 +130,6 @@ std::complex<double> AcSession::node_voltage(double frequency_hz,
   return solve(frequency_hz)[static_cast<std::size_t>(node - 1)];
 }
 
-VectorC solve_ac(const Netlist& netlist, const Vector& operating_point,
-                 const Conditions& conditions, double frequency_hz) {
-  AcSession session(netlist, operating_point, conditions);
-  return session.solve(frequency_hz);
-}
-
 std::complex<double> ac_node_voltage(const Netlist& netlist,
                                      const Vector& operating_point,
                                      const Conditions& conditions,

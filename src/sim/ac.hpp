@@ -104,15 +104,6 @@ class AcSession {
   std::uint64_t analyzed_epoch_ = 0;
 };
 
-/// Solves the AC system at a single frequency [Hz] with a fresh session.
-/// Returns the full complex solution vector (node phasors + branch
-/// currents).  Throws linalg::SingularMatrixError if the small-signal
-/// system is singular at this operating point.
-linalg::VectorC solve_ac(const circuit::Netlist& netlist,
-                         const linalg::Vector& operating_point,
-                         const circuit::Conditions& conditions,
-                         double frequency_hz);
-
 /// Phasor of a node at a single frequency (convenience).
 std::complex<double> ac_node_voltage(const circuit::Netlist& netlist,
                                      const linalg::Vector& operating_point,

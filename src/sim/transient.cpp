@@ -33,14 +33,13 @@ struct NewtonScratch {
   Vector step;
 };
 
-/// Newton solve of one implicit step (BE, or BDF2 when `x_prev2` is given).
+/// Newton solve of one backward-Euler step.
 /// `x` is seeded with the previous time point and holds the converged
 /// solution on success.
 bool newton_step(Netlist& netlist, const Conditions& conditions,
                  const DcOptions& options, const Vector& x_prev, double h,
                  double t, Vector& x, int& iteration_counter,
-                 LinearSystem& system, NewtonScratch& scratch,
-                 const Vector* x_prev2 = nullptr) {
+                 LinearSystem& system, NewtonScratch& scratch) {
   const std::size_t n = netlist.system_size();
   const std::size_t num_nodes = netlist.num_nodes();
   system.set_diagnostic_netlist(&netlist);
@@ -52,8 +51,7 @@ bool newton_step(Netlist& netlist, const Conditions& conditions,
     ++iteration_counter;
     linalg::SystemMatrix& jacobian = system.begin(n, options.solver);
     residual.fill(0.0);
-    TranStamp stamp(x, jacobian, residual, num_nodes, conditions, x_prev, h, t,
-                    x_prev2);
+    TranStamp stamp(x, jacobian, residual, num_nodes, conditions, x_prev, h, t);
     for (const auto& device : netlist) device->stamp_tran(stamp);
     for (std::size_t k = 0; k + 1 < num_nodes; ++k) {
       jacobian.add(static_cast<int>(k), static_cast<int>(k),
@@ -109,7 +107,6 @@ TranResult solve_transient(Netlist& netlist, const Vector& initial,
   // A seed trajectory that fails to converge a step is dropped for the
   // rest of the run (see below); until then every sized step may seed.
   bool seed_ok = true;
-  Vector x_prev2;  // two steps back; empty until two equal steps accepted
   // One linear-system workspace serves every Newton step of this run (the
   // caller-owned one when TranOptions::newton provides it).
   LinearSystem local_system;
@@ -124,10 +121,6 @@ TranResult solve_transient(Netlist& netlist, const Vector& initial,
     const double t = std::min(static_cast<double>(k) * options.dt, options.t_stop);
     const double h = t - result.time.back();
     if (h <= 0.0) break;
-    // BDF2 requires two equally spaced history points (full dt steps).
-    const bool use_bdf2 = options.method == TranMethod::kBdf2 &&
-                          !x_prev2.empty() &&
-                          std::abs(h - options.dt) < 1e-15;
     // Newton start: previous point plus the seed trajectory's increment
     // when one is provided, otherwise the previous time point alone.  The
     // delta form carries the solution's standing offset from the seed
@@ -153,8 +146,7 @@ TranResult solve_transient(Netlist& netlist, const Vector& initial,
         x[i] += seed_now[i] - seed_prev[i];
     }
     bool step_ok = newton_step(netlist, conditions, options.newton, x_prev, h,
-                               t, x, result.newton_iterations, system, scratch,
-                               use_bdf2 ? &x_prev2 : nullptr);
+                               t, x, result.newton_iterations, system, scratch);
     if (!step_ok && seeded) {
       // The seed increment threw Newton off course.  A seed that bad once
       // stays bad (the trajectories have already diverged), so dropping it
@@ -166,8 +158,7 @@ TranResult solve_transient(Netlist& netlist, const Vector& initial,
       tallies.tran_seed_resets.add();
       x = x_prev;
       step_ok = newton_step(netlist, conditions, options.newton, x_prev, h, t,
-                            x, result.newton_iterations, system, scratch,
-                            use_bdf2 ? &x_prev2 : nullptr);
+                            x, result.newton_iterations, system, scratch);
     }
     if (!step_ok) {
       // Retry once with half steps to get through sharp source edges.
@@ -193,12 +184,6 @@ TranResult solve_transient(Netlist& netlist, const Vector& initial,
     result.time.push_back(t);
     result.solutions.push_back(x);
     tallies.tran_steps.add();
-    // Accepted samples are spaced by h regardless of internal retries;
-    // only a full-dt spacing qualifies as BDF2 history.
-    if (std::abs(h - options.dt) < 1e-15)
-      x_prev2 = x_prev;
-    else
-      x_prev2.resize(0);  // drops BDF2 history without reallocating
     x_prev = std::move(x);
   }
   result.converged = true;
@@ -216,19 +201,6 @@ double max_slope(const std::vector<double>& time,
     const double h = time[k] - time[k - 1];
     if (h <= 0.0) continue;
     best = std::max(best, (values[k] - values[k - 1]) / h);
-  }
-  return best;
-}
-
-double max_negative_slope(const std::vector<double>& time,
-                          const std::vector<double>& values) {
-  if (time.size() != values.size())
-    throw std::invalid_argument("max_negative_slope: size mismatch");
-  double best = 0.0;
-  for (std::size_t k = 1; k < time.size(); ++k) {
-    const double h = time[k] - time[k - 1];
-    if (h <= 0.0) continue;
-    best = std::max(best, -(values[k] - values[k - 1]) / h);
   }
   return best;
 }

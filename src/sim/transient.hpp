@@ -15,25 +15,17 @@
 
 namespace mayo::sim {
 
-/// Time-integration formula.
-enum class TranMethod {
-  kBackwardEuler,  ///< 1st order, L-stable (default)
-  kBdf2,           ///< 2nd order, L-stable; falls back to BE on the first
-                   ///< step and on irregular (retry/final partial) steps
-};
-
 /// Transient run controls.
 struct TranOptions {
   double t_stop = 1e-6;    ///< end time [s]
   double dt = 1e-9;        ///< fixed step size [s]
-  TranMethod method = TranMethod::kBackwardEuler;
   DcOptions newton;        ///< per-step Newton controls
   /// Optional Newton warm start: solutions of a previous run of the same
   /// testbench on the same time grid (e.g. the nominal-design trajectory
   /// while sweeping mismatch samples).  When entry k exists and matches
   /// the system size, the step-k Newton iteration starts from it instead
-  /// of the previous time point; the integration history (x_prev, BDF2
-  /// points, half-step retries) is unaffected, so the seed only changes
+  /// of the previous time point; the integration history (x_prev,
+  /// half-step retries) is unaffected, so the seed only changes
   /// the iteration count, not the method.  The pointee must outlive the
   /// solve_transient call.
   const std::vector<linalg::Vector>* seed_trajectory = nullptr;
@@ -63,9 +55,5 @@ TranResult solve_transient(circuit::Netlist& netlist,
 /// maximum of (v[k+1]-v[k])/dt.  Returns 0 for fewer than two points.
 double max_slope(const std::vector<double>& time,
                  const std::vector<double>& values);
-
-/// Maximum negative slope magnitude (for falling edges).
-double max_negative_slope(const std::vector<double>& time,
-                          const std::vector<double>& values);
 
 }  // namespace mayo::sim

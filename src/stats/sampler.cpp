@@ -21,11 +21,15 @@ SampleSet::SampleSet(std::size_t count, std::size_t dim, std::uint64_t seed)
 }
 
 SampleSet::SampleSet(std::size_t count, std::uint64_t seed,
-                     const linalg::StatUnitVec& shift)
+                     const linalg::StatUnitVec& shift, bool alternate)
     : SampleSet(count, shift.size(), seed) {
   for (std::size_t j = 0; j < count; ++j) {
     double* row = samples_.row(j);
-    for (std::size_t i = 0; i < shift.size(); ++i) row[i] += shift[i];
+    if (alternate && j % 2 == 1) {
+      for (std::size_t i = 0; i < shift.size(); ++i) row[i] -= shift[i];
+    } else {
+      for (std::size_t i = 0; i < shift.size(); ++i) row[i] += shift[i];
+    }
   }
 }
 

@@ -34,9 +34,10 @@ class SampleSet {
   /// Draws `count` samples of dimension shift.size() from N(shift, I):
   /// the same N(0, I) stream as the unshifted constructor with the same
   /// seed, translated row-wise by `shift` (the importance-sampling
-  /// proposal of stats::ShiftedSampler).
+  /// proposal of stats::ShiftedSampler).  With `alternate`, odd rows are
+  /// translated by -shift instead (the two-lobe proposal).
   SampleSet(std::size_t count, std::uint64_t seed,
-            const linalg::StatUnitVec& shift);
+            const linalg::StatUnitVec& shift, bool alternate = false);
 
   std::size_t count() const { return samples_.rows(); }
   std::size_t dim() const { return samples_.cols(); }

@@ -4,9 +4,11 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "stats/normal.hpp"
+#include "stats/shifted_sampler.hpp"
 #include "synthetic_problem.hpp"
 
 namespace mayo::core {
@@ -18,14 +20,24 @@ using linalg::StatUnitVec;
 
 // Worst-case points of the synthetic problem at d = (2, 1) (see
 // synthetic_problem.hpp): linear spec s_wc = (0.4, 0.8, 0) at theta = 1,
-// quadratic spec s_wc = (0, u/2, -u/2) with u = sqrt(6).
+// quadratic spec s_wc = (0, u/2, -u/2) with u = sqrt(6), mirrored (it
+// fails on both sides, at +-s_wc).
 std::vector<OperatingVec> synthetic_theta_wc() {
   return {OperatingVec{1.0}, OperatingVec{0.0}};
 }
 
-std::vector<StatUnitVec> synthetic_s_wc() {
+WorstCasePoint point(std::size_t spec, StatUnitVec s_wc, bool mirrored) {
+  WorstCasePoint wc;
+  wc.spec = spec;
+  wc.s_wc = std::move(s_wc);
+  wc.mirrored = mirrored;
+  return wc;
+}
+
+std::vector<WorstCasePoint> synthetic_worst_cases() {
   const double half_u = 0.5 * std::sqrt(6.0);
-  return {StatUnitVec{0.4, 0.8, 0.0}, StatUnitVec{0.0, half_u, -half_u}};
+  return {point(0, StatUnitVec{0.4, 0.8, 0.0}, false),
+          point(1, StatUnitVec{0.0, half_u, -half_u}, true)};
 }
 
 TEST(IsVerification, CoversAnalyticFailureProbabilityOfLinearSpec) {
@@ -41,7 +53,7 @@ TEST(IsVerification, CoversAnalyticFailureProbabilityOfLinearSpec) {
   options.max_rounds = 4;
   const IsVerificationResult result =
       importance_sample_verify(ev, DesignVec(problem.design.nominal),
-                               synthetic_theta_wc(), synthetic_s_wc(), options);
+                               synthetic_theta_wc(), synthetic_worst_cases(), options);
 
   const double p0 = 1.0 - stats::normal_cdf(2.0 / std::sqrt(5.0));
   ASSERT_EQ(result.per_spec.size(), 2u);
@@ -49,11 +61,11 @@ TEST(IsVerification, CoversAnalyticFailureProbabilityOfLinearSpec) {
   EXPECT_NEAR(lin.fail_probability, p0, 0.05);
   EXPECT_LE(lin.lower, p0);
   EXPECT_GE(lin.upper, p0);
-  EXPECT_FALSE(lin.self_normalized);
+  EXPECT_FALSE(lin.low_ess);
   EXPECT_GT(lin.ess, 0.0);
   EXPECT_NEAR(lin.shift_norm, 2.0 / std::sqrt(5.0), 1e-12);
 
-  // The disabled spec never fails: point estimate 0, no fallback.
+  // The disabled spec never fails: point estimate 0.
   const SpecIsEstimate& off = result.per_spec[1];
   EXPECT_EQ(off.fails, 0u);
   EXPECT_EQ(off.fail_probability, 0.0);
@@ -79,7 +91,7 @@ TEST(IsVerification, TighterThanPlainMcAtEqualSampleCount) {
   options.max_rounds = 0;
   const IsVerificationResult is_result =
       importance_sample_verify(ev, DesignVec(problem.design.nominal),
-                               synthetic_theta_wc(), synthetic_s_wc(), options);
+                               synthetic_theta_wc(), synthetic_worst_cases(), options);
   const double p0 = 1.0 - stats::normal_cdf(2.0 / std::sqrt(5.0));
   const stats::YieldInterval mc = stats::yield_confidence(
       static_cast<std::size_t>(p0 * 512.0 + 0.5), 512);
@@ -102,7 +114,7 @@ TEST(IsVerification, BitwiseIdenticalAcrossThreadCounts) {
     IsVerificationOptions run = options;
     run.threads = threads;
     results.push_back(importance_sample_verify(ev, d, synthetic_theta_wc(),
-                                               synthetic_s_wc(), run));
+                                               synthetic_worst_cases(), run));
   }
 
   const IsVerificationResult& serial = results[0];
@@ -122,7 +134,7 @@ TEST(IsVerification, BitwiseIdenticalAcrossThreadCounts) {
       EXPECT_EQ(b.samples, a.samples);
       EXPECT_EQ(b.fails, a.fails);
       EXPECT_EQ(b.ess, a.ess);
-      EXPECT_EQ(b.self_normalized, a.self_normalized);
+      EXPECT_EQ(b.low_ess, a.low_ess);
     }
   }
 }
@@ -136,11 +148,11 @@ TEST(IsVerification, RepeatRunsAreIdentical) {
   options.max_rounds = 2;
   const DesignVec d(problem.design.nominal);
   const IsVerificationResult first = importance_sample_verify(
-      ev, d, synthetic_theta_wc(), synthetic_s_wc(), options);
+      ev, d, synthetic_theta_wc(), synthetic_worst_cases(), options);
   // Second run hits the warm evaluation cache; purity makes the numbers
   // identical anyway.
   const IsVerificationResult second = importance_sample_verify(
-      ev, d, synthetic_theta_wc(), synthetic_s_wc(), options);
+      ev, d, synthetic_theta_wc(), synthetic_worst_cases(), options);
   EXPECT_EQ(first.yield, second.yield);
   EXPECT_EQ(first.rounds, second.rounds);
   for (std::size_t i = 0; i < first.per_spec.size(); ++i) {
@@ -162,7 +174,7 @@ TEST(IsVerification, AdaptiveRoundsTargetTheWidestInterval) {
   options.max_rounds = 4;
   const IsVerificationResult result =
       importance_sample_verify(ev, DesignVec(problem.design.nominal),
-                               synthetic_theta_wc(), synthetic_s_wc(), options);
+                               synthetic_theta_wc(), synthetic_worst_cases(), options);
   EXPECT_EQ(result.rounds, 4u);
   EXPECT_GT(result.per_spec[0].samples, result.per_spec[1].samples);
   EXPECT_EQ(result.per_spec[0].samples + result.per_spec[1].samples,
@@ -179,34 +191,61 @@ TEST(IsVerification, TargetHalfWidthStopsEarly) {
   options.target_half_width = 0.25;  // far wider than round 0 achieves
   const IsVerificationResult result =
       importance_sample_verify(ev, DesignVec(problem.design.nominal),
-                               synthetic_theta_wc(), synthetic_s_wc(), options);
+                               synthetic_theta_wc(), synthetic_worst_cases(), options);
   EXPECT_EQ(result.rounds, 0u);
   for (const SpecIsEstimate& e : result.per_spec)
     EXPECT_EQ(e.samples, 256u);
 }
 
-TEST(IsVerification, EssFallbackTriggersOnFarShift) {
+TEST(IsVerification, CoversAnalyticFailureProbabilityOfMirroredSpec) {
+  // The quadratic spec fails on both sides: p1 = P(|s1 - s2| > u) =
+  // 2 Phi(-sqrt(3)).  The two-lobe proposal visits both failure lobes; a
+  // single shift to +s_wc would see only one of them and report ~p1 / 2.
+  auto problem = testing::make_synthetic_problem(2.0, 1.0);
+  problem.specs[0].bound = -1e9;
+  Evaluator ev(problem);
+  IsVerificationOptions options;
+  options.initial_samples = 512;
+  options.max_rounds = 0;
+  const IsVerificationResult result =
+      importance_sample_verify(ev, DesignVec(problem.design.nominal),
+                               synthetic_theta_wc(), synthetic_worst_cases(),
+                               options);
+  const double p1 = 2.0 * stats::normal_cdf(-std::sqrt(3.0));
+  const SpecIsEstimate& quad = result.per_spec[1];
+  EXPECT_LE(quad.lower, p1);
+  EXPECT_GE(quad.upper, p1);
+  EXPECT_NEAR(quad.fail_probability, p1, 0.2 * p1);
+}
+
+TEST(IsVerification, FarShiftFlagsLowEss) {
+  // A proposal centred eight times past the worst-case point makes a few
+  // huge weights carry the estimate: the low-ESS diagnostic must fire and
+  // be counted, while the estimate stays the unbiased mean of f w.
   auto problem = testing::make_synthetic_problem(2.0, 1.0);
   problem.specs[1].bound = -1e9;
   Evaluator ev(problem);
   IsVerificationOptions options;
   options.initial_samples = 128;
   options.max_rounds = 0;
-  options.shift_scale = 8.0;  // adversarial: weights degenerate
-  const std::uint64_t fallbacks_before =
-      obs::registry().counters.mc_is_ess_fallbacks.value();
+  std::vector<WorstCasePoint> far = synthetic_worst_cases();
+  far[0].s_wc = far[0].s_wc * 8.0;  // adversarial: weights degenerate
+  const std::uint64_t low_ess_before =
+      obs::registry().counters.mc_is_low_ess.value();
   const IsVerificationResult result =
       importance_sample_verify(ev, DesignVec(problem.design.nominal),
-                               synthetic_theta_wc(), synthetic_s_wc(), options);
-  EXPECT_TRUE(result.per_spec[0].self_normalized);
-  ASSERT_GT(result.per_spec[0].fails, 0u);
-  EXPECT_LT(result.per_spec[0].ess,
-            options.ess_fraction * static_cast<double>(result.per_spec[0].fails));
-  EXPECT_GE(obs::registry().counters.mc_is_ess_fallbacks.value(),
-            fallbacks_before + 1);
-  // The self-normalized estimate stays a probability.
-  EXPECT_GE(result.per_spec[0].fail_probability, 0.0);
-  EXPECT_LE(result.per_spec[0].fail_probability, 1.0);
+                               synthetic_theta_wc(), far, options);
+  const SpecIsEstimate& e = result.per_spec[0];
+  ASSERT_GT(e.fails, 0u);
+  EXPECT_TRUE(e.low_ess);
+  EXPECT_LT(e.ess, kLowEssFraction * static_cast<double>(e.fails));
+  EXPECT_FALSE(result.per_spec[1].low_ess);  // no failures: nothing to flag
+  EXPECT_GE(obs::registry().counters.mc_is_low_ess.value(),
+            low_ess_before + 1);
+  EXPECT_GE(e.fail_probability, 0.0);
+  EXPECT_LE(e.fail_probability, 1.0);
+  EXPECT_LE(e.lower, e.fail_probability);
+  EXPECT_GE(e.upper, e.fail_probability);
 }
 
 TEST(IsVerification, EvaluationsChargedToVerificationBudget) {
@@ -220,7 +259,7 @@ TEST(IsVerification, EvaluationsChargedToVerificationBudget) {
       obs::registry().counters.mc_is_samples.value();
   const IsVerificationResult result =
       importance_sample_verify(ev, DesignVec(problem.design.nominal),
-                               synthetic_theta_wc(), synthetic_s_wc(), options);
+                               synthetic_theta_wc(), synthetic_worst_cases(), options);
   const std::size_t total = 2u * 32u + 2u * 16u;
   EXPECT_EQ(result.evaluations, total);
   EXPECT_EQ(ev.counts().verification, total);
@@ -234,7 +273,7 @@ TEST(IsVerification, InvalidArgumentsThrow) {
   Evaluator ev(problem);
   const DesignVec d(problem.design.nominal);
   const auto theta = synthetic_theta_wc();
-  const auto s_wc = synthetic_s_wc();
+  const auto s_wc = synthetic_worst_cases();
 
   // Wrong number of worst-case corners / points.
   EXPECT_THROW(importance_sample_verify(ev, d, {theta[0]}, s_wc, {}),
@@ -243,10 +282,12 @@ TEST(IsVerification, InvalidArgumentsThrow) {
                std::invalid_argument);
 
   // Wrong statistical dimension.
-  EXPECT_THROW(
-      importance_sample_verify(ev, d, theta,
-                               {StatUnitVec{1.0}, StatUnitVec{1.0}}, {}),
-      std::invalid_argument);
+  EXPECT_THROW(importance_sample_verify(
+                   ev, d, theta,
+                   {point(0, StatUnitVec{1.0}, false),
+                    point(1, StatUnitVec{1.0}, true)},
+                   {}),
+               std::invalid_argument);
 
   IsVerificationOptions zero_initial;
   zero_initial.initial_samples = 0;
@@ -281,37 +322,72 @@ TEST(IsVerificationDetail, AccumulatorMergeMatchesSequentialFold) {
   // Power-of-two weights make every sum exact, so the equality is exact.
   EXPECT_EQ(left.count, whole.count);
   EXPECT_EQ(left.fails, whole.fails);
-  EXPECT_EQ(left.sum_w, whole.sum_w);
-  EXPECT_EQ(left.sum_w2, whole.sum_w2);
   EXPECT_EQ(left.sum_fw, whole.sum_fw);
   EXPECT_EQ(left.sum_fw2, whole.sum_fw2);
 }
 
 TEST(IsVerificationDetail, ZeroFailureUpperBoundUsesLikelihoodRatioCap) {
   // 64 unit-ish draws, none failing: the upper bound is the plain Wilson
-  // bound scaled by the half-space likelihood-ratio cap exp(-|mu|^2 / 2)
-  // (shift_scale 1), so a far-out spec cannot dominate the yield bracket.
+  // bound scaled by the likelihood-ratio cap exp(-|mu|^2 / 2) / lobe_share
+  // over the linearized failure region, so a far-out spec cannot dominate
+  // the yield bracket.
   const IsVerificationOptions options;
   detail::IsAccumulator acc;
   for (int j = 0; j < 64; ++j) acc.add(false, 0.5);
   const double shift_norm = 3.0;
-  const SpecIsEstimate e = detail::finalize_estimate(0, acc, shift_norm, options);
+  const double cap = std::exp(-0.5 * shift_norm * shift_norm);
+  const SpecIsEstimate e =
+      detail::finalize_estimate(0, acc, shift_norm, 1.0, options);
   const stats::YieldInterval wilson =
       stats::weighted_yield_confidence(0.0, 64.0, options.z);
   EXPECT_EQ(e.fail_probability, 0.0);
   EXPECT_EQ(e.lower, wilson.lower);
-  EXPECT_DOUBLE_EQ(e.upper, wilson.upper * std::exp(-0.5 * shift_norm * shift_norm));
+  EXPECT_DOUBLE_EQ(e.upper, wilson.upper * cap);
 
   // A zero shift carries no model information: plain Wilson bound.
-  const SpecIsEstimate plain = detail::finalize_estimate(0, acc, 0.0, options);
+  const SpecIsEstimate plain =
+      detail::finalize_estimate(0, acc, 0.0, 1.0, options);
   EXPECT_EQ(plain.upper, wilson.upper);
+
+  // The two-lobe mixture with half the draws on each lobe: w <= 2 * cap
+  // on both failure lobes.
+  const SpecIsEstimate two_lobe =
+      detail::finalize_estimate(0, acc, shift_norm, 0.5, options);
+  EXPECT_DOUBLE_EQ(two_lobe.upper, wilson.upper * 2.0 * cap);
+
+  // A lobe no draw was centred on bounds nothing: plain Wilson bound.
+  const SpecIsEstimate one_sided =
+      detail::finalize_estimate(0, acc, shift_norm, 0.0, options);
+  EXPECT_EQ(one_sided.upper, wilson.upper);
+}
+
+TEST(IsVerificationDetail, HealthyFarShiftIsNotFlaggedLowEss) {
+  // A correctly placed shift at beta = 9 on a linear spec (fail iff
+  // s_0 >= beta): the failing draws' weights spread with beta, so their
+  // ESS is about 1.6 / beta ~ 0.18 of the failing count -- below a flat
+  // 0.2 share, yet the estimate is exact.  The threshold scales with the
+  // healthy value and must not flag it.
+  const double beta = 9.0;
+  const stats::ShiftedSampler sampler(2048, StatUnitVec{beta, 0.0, 0.0}, 11);
+  detail::IsAccumulator acc;
+  for (std::size_t j = 0; j < sampler.count(); ++j)
+    acc.add(sampler.samples().sample(j)[0] >= beta, sampler.weight(j));
+  const SpecIsEstimate e =
+      detail::finalize_estimate(0, acc, beta, 1.0, IsVerificationOptions{});
+  ASSERT_GT(e.fails, 900u);
+  EXPECT_FALSE(e.low_ess);
+  EXPECT_LT(e.ess, 0.5 * static_cast<double>(e.fails));
+  // The estimate matches the analytic tail probability Phi(-9) (relative
+  // standard error ~7% at this count).
+  const double p = stats::normal_cdf(-beta);
+  EXPECT_NEAR(e.fail_probability, p, 0.25 * p);
 }
 
 TEST(IsVerificationDetail, FinalizeHandlesDegenerateAccumulator) {
   const IsVerificationOptions options;
   detail::IsAccumulator empty;
   const SpecIsEstimate e =
-      detail::finalize_estimate(3, empty, 1.0, options);
+      detail::finalize_estimate(3, empty, 1.0, 1.0, options);
   EXPECT_EQ(e.spec, 3u);
   EXPECT_EQ(e.lower, 0.0);
   EXPECT_EQ(e.upper, 1.0);

@@ -1,11 +1,11 @@
-// Determinism contract of the parallel linearization fan-out: for every
-// thread count, parallel_build_linearizations returns models, worst-case
-// points and operating corners that are BITWISE identical to the serial
-// build_linearizations.  Model evaluations are pure functions of
+// Determinism contract of the threaded linearization fan-out: for every
+// thread count, build_linearizations returns models, worst-case points and
+// operating corners that are BITWISE identical to the single-threaded
+// run.  Model evaluations are pure functions of
 // (d, s, theta) (see evaluator.hpp), so per-worker cold caches change how
 // often points are re-simulated but never the values -- only the
 // evaluation *counters* may differ between the two paths.
-#include "core/parallel.hpp"
+#include "core/linearization.hpp"
 
 #include <gtest/gtest.h>
 
@@ -30,11 +30,10 @@ LinearizedModels run_parallel(unsigned threads,
                               bool linearize_at_nominal = false) {
   auto problem = testing::make_synthetic_problem(2.0, 1.0);
   Evaluator ev(problem);
-  ParallelLinearizationOptions opts;
-  opts.threads = threads;
-  opts.linearization.linearize_at_nominal = linearize_at_nominal;
-  return parallel_build_linearizations(
-      ev, DesignVec(problem.design.nominal), opts);
+  LinearizationOptions opts;
+  opts.linearize_at_nominal = linearize_at_nominal;
+  return build_linearizations(ev, DesignVec(problem.design.nominal), opts,
+                              threads);
 }
 
 void expect_identical(const LinearizedModels& serial,
@@ -107,10 +106,8 @@ TEST(ParallelLinearization, NominalAblationFallsBackToSerial) {
 TEST(ParallelLinearization, WorkerEvaluationsChargedToOptimizer) {
   auto problem = testing::make_synthetic_problem(2.0, 1.0);
   Evaluator ev(problem);
-  ParallelLinearizationOptions opts;
-  opts.threads = 2;
-  (void)parallel_build_linearizations(
-      ev, DesignVec(problem.design.nominal), opts);
+  (void)build_linearizations(ev, DesignVec(problem.design.nominal), {},
+                             /*threads=*/2);
   // The fan-out must charge every worker evaluation to the optimization
   // budget; the serial path's count is a lower bound (workers start with
   // cold caches, so they may re-simulate points the shared cache reused).

@@ -88,19 +88,6 @@ TEST(Kernels, CopyAxpyMatchesTwoStep) {
     EXPECT_EQ(fused[i], x[i] + (-0.75) * z[i]);
 }
 
-TEST(Kernels, CholeskySolveBitwiseMatchesAllocatingSolve) {
-  Matrixd a(3, 3);
-  a(0, 0) = 4.0;  a(0, 1) = 1.0;  a(0, 2) = 0.5;
-  a(1, 0) = 1.0;  a(1, 1) = 3.0;  a(1, 2) = -0.25;
-  a(2, 0) = 0.5;  a(2, 1) = -0.25; a(2, 2) = 2.0;
-  const Cholesky chol(a);
-  const Vector b{1.0, -2.0, 0.5};
-  const Vector reference = chol.solve(b);
-  Vector out(3);
-  cholesky_solve_into(chol, b, out);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(out[i], reference[i]);
-}
-
 TEST(Kernels, AssembleComplexWritesGPlusJOmegaC) {
   const Matrixd g = make_matrix(3, 3);
   const Matrixd c = make_matrix(3, 3);

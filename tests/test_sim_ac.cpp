@@ -83,8 +83,7 @@ TEST(AcSolver, SweepValidation) {
 TEST(AcSolver, OperatingPointSizeMismatchThrows) {
   RcLowPass ckt(1e3, 1e-9);
   Vector bad_op(1);
-  EXPECT_THROW(solve_ac(ckt.nl, bad_op, Conditions{}, 1.0),
-               std::invalid_argument);
+  EXPECT_THROW(AcSession(ckt.nl, bad_op, Conditions{}), std::invalid_argument);
 }
 
 TEST(AcSolver, GroundNodeIsZero) {

@@ -184,17 +184,14 @@ TEST(SlopeHelpers, MaxSlope) {
   const std::vector<double> t = {0.0, 1.0, 2.0, 3.0};
   const std::vector<double> v = {0.0, 2.0, 3.0, 2.5};
   EXPECT_DOUBLE_EQ(max_slope(t, v), 2.0);
-  EXPECT_DOUBLE_EQ(max_negative_slope(t, v), 0.5);
 }
 
 TEST(SlopeHelpers, SizeMismatchThrows) {
   EXPECT_THROW(max_slope({0.0, 1.0}, {0.0}), std::invalid_argument);
-  EXPECT_THROW(max_negative_slope({0.0}, {0.0, 1.0}), std::invalid_argument);
 }
 
 TEST(SlopeHelpers, EmptyIsZero) {
   EXPECT_EQ(max_slope({}, {}), 0.0);
-  EXPECT_EQ(max_negative_slope({0.0}, {1.0}), 0.0);
 }
 
 }  // namespace
@@ -211,8 +208,8 @@ using circuit::NodeId;
 using circuit::Resistor;
 using circuit::VoltageSource;
 
-/// Max |v(t) - analytic| over an RC step response for a given method/step.
-double rc_step_error(TranMethod method, double dt) {
+/// Max |v(t) - analytic| over an RC step response for a given step.
+double rc_step_error(double dt) {
   Netlist nl;
   const NodeId in = nl.add_node("in");
   const NodeId out = nl.add_node("out");
@@ -224,7 +221,6 @@ double rc_step_error(TranMethod method, double dt) {
   TranOptions options;
   options.t_stop = 3e-6;
   options.dt = dt;
-  options.method = method;
   const TranResult result = solve_transient(nl, op.solution, Conditions{}, options);
   if (!result.converged) return 1e9;
   const auto v = result.node_voltage(out);
@@ -237,25 +233,15 @@ double rc_step_error(TranMethod method, double dt) {
   return worst;
 }
 
-TEST(TransientBdf2, MoreAccurateThanBackwardEuler) {
-  const double be = rc_step_error(TranMethod::kBackwardEuler, 20e-9);
-  const double bdf2 = rc_step_error(TranMethod::kBdf2, 20e-9);
-  EXPECT_LT(bdf2, be / 3.0);
+TEST(TransientBackwardEuler, FirstOrderConvergence) {
+  // Halving dt should cut the backward-Euler error by ~2 (1st order).
+  const double coarse = rc_step_error(40e-9);
+  const double fine = rc_step_error(20e-9);
+  EXPECT_GT(coarse / fine, 1.6);
+  EXPECT_LT(coarse / fine, 2.6);
 }
 
-TEST(TransientBdf2, SecondOrderConvergence) {
-  // Halving dt should cut the BDF2 error by ~4 (2nd order); BE by ~2.
-  const double coarse = rc_step_error(TranMethod::kBdf2, 40e-9);
-  const double fine = rc_step_error(TranMethod::kBdf2, 20e-9);
-  EXPECT_GT(coarse / fine, 3.0);
-  EXPECT_LT(coarse / fine, 6.0);
-  const double be_coarse = rc_step_error(TranMethod::kBackwardEuler, 40e-9);
-  const double be_fine = rc_step_error(TranMethod::kBackwardEuler, 20e-9);
-  EXPECT_GT(be_coarse / be_fine, 1.6);
-  EXPECT_LT(be_coarse / be_fine, 2.6);
-}
-
-TEST(TransientBdf2, InductorRlMatchesAnalytic) {
+TEST(TransientBackwardEuler, InductorRlMatchesAnalytic) {
   Netlist nl;
   const NodeId in = nl.add_node("in");
   const NodeId mid = nl.add_node("mid");
@@ -266,12 +252,11 @@ TEST(TransientBdf2, InductorRlMatchesAnalytic) {
   v.set_waveform([](double t) { return t > 0.0 ? 1.0 : 0.0; });
   TranOptions options;
   options.t_stop = 4e-6;
-  options.dt = 20e-9;
-  options.method = TranMethod::kBdf2;
+  options.dt = 10e-9;  // BE error ~ dt/(2 tau) * max(t e^{-t}) ~ 2e-3
   const auto result = solve_transient(nl, op.solution, Conditions{}, options);
   ASSERT_TRUE(result.converged);
   const auto v_mid = result.node_voltage(mid);
-  for (std::size_t k = 10; k < v_mid.size(); k += 40) {
+  for (std::size_t k = 20; k < v_mid.size(); k += 80) {
     const double expected = std::exp(-result.time[k] / 1e-6);
     EXPECT_NEAR(v_mid[k], expected, 5e-3) << result.time[k];
   }

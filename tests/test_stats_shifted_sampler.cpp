@@ -53,6 +53,55 @@ TEST(ShiftedSampler, WeightsAverageToOne) {
   EXPECT_NEAR(acc.mean(), 1.0, 0.05);
 }
 
+TEST(ShiftedSampler, TwoLobeDrawsAlternateBetweenLobes) {
+  const linalg::StatUnitVec mu{1.5, -0.5};
+  const SampleSet base(9, 2, 21);
+  const ShiftedSampler mixed(9, mu, 21, /*two_lobe=*/true);
+  for (std::size_t j = 0; j < 9; ++j) {
+    const double sign = j % 2 == 0 ? 1.0 : -1.0;
+    for (std::size_t i = 0; i < 2; ++i)
+      EXPECT_DOUBLE_EQ(mixed.samples().sample(j)[i],
+                       base.sample(j)[i] + sign * mu[i]);
+  }
+}
+
+TEST(ShiftedSampler, TwoLobeLogWeightsMatchDirectDensityRatio) {
+  // w = phi(s) / (a+ phi(s - mu) + a- phi(s + mu)) from the Gaussian
+  // densities themselves (normalizations cancel), for an even and an odd
+  // count (lobe shares 1/2 and 3/5 : 2/5).
+  const linalg::StatUnitVec mu{0.9, -1.4, 0.3};
+  for (std::size_t count : {8u, 5u}) {
+    const ShiftedSampler mixed(count, mu, 31, /*two_lobe=*/true);
+    const double a_plus = static_cast<double>((count + 1) / 2) / count;
+    const double a_minus = 1.0 - a_plus;
+    for (std::size_t j = 0; j < count; ++j) {
+      const double* s = mixed.samples().sample(j);
+      double s2 = 0.0, plus2 = 0.0, minus2 = 0.0;
+      for (std::size_t i = 0; i < 3; ++i) {
+        s2 += s[i] * s[i];
+        plus2 += (s[i] - mu[i]) * (s[i] - mu[i]);
+        minus2 += (s[i] + mu[i]) * (s[i] + mu[i]);
+      }
+      const double direct =
+          std::exp(-0.5 * s2) /
+          (a_plus * std::exp(-0.5 * plus2) + a_minus * std::exp(-0.5 * minus2));
+      EXPECT_NEAR(mixed.log_weight(j), std::log(direct), 1e-12)
+          << "count " << count << " draw " << j;
+      EXPECT_NEAR(mixed.weight(j), direct, 1e-12 * direct);
+    }
+  }
+}
+
+TEST(ShiftedSampler, TwoLobeWeightsAverageToOne) {
+  // E_q[w] = 1 for the mixture too; the alternating (stratified) draws
+  // with their lobe shares keep the sample mean unbiased.
+  const linalg::StatUnitVec mu{1.0, 0.5, -0.5};
+  const ShiftedSampler mixed(20000, mu, 17, /*two_lobe=*/true);
+  RunningStats acc;
+  for (std::size_t j = 0; j < mixed.count(); ++j) acc.add(mixed.weight(j));
+  EXPECT_NEAR(acc.mean(), 1.0, 0.05);
+}
+
 TEST(ShiftedSampler, InvalidArgumentsThrow) {
   const linalg::StatUnitVec mu{1.0};
   EXPECT_THROW(ShiftedSampler(0, mu, 1), std::invalid_argument);

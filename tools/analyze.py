@@ -17,7 +17,7 @@ on the inputs the tests happen to run.  This tool proves it statically:
      certification stricter, never unsound.
   3. Functions transitively reachable from a declared parallel entry
      point -- a definition carrying a `// parallel-entry` comment, such
-     as the worker thunks in src/core/parallel.cpp -- form the certified
+     as the worker lambdas handed to core::run_workers -- form the certified
      set, and three rule families are enforced:
 
   parallel-purity     no function in the certified set may write
