@@ -67,10 +67,6 @@ VoltageSource::VoltageSource(std::string name, NodeId p, NodeId n,
                              double dc_value)
     : Device(std::move(name)), p_(p), n_(n), dc_(dc_value) {}
 
-void VoltageSource::set_waveform(std::function<double(double)> waveform) {
-  waveform_ = std::move(waveform);
-}
-
 void VoltageSource::stamp_dc(DcStamp& stamp) const {
   const int b = first_branch();
   const int brow = stamp.branch_index(b);
@@ -91,20 +87,6 @@ void VoltageSource::stamp_ac(AcStamp& stamp) const {
   stamp.add(brow, stamp.node_index(p_), 1.0);
   stamp.add(brow, stamp.node_index(n_), -1.0);
   stamp.add_rhs(brow, ac_);
-}
-
-void VoltageSource::stamp_tran(TranStamp& stamp) const {
-  const double value = waveform_ ? waveform_(stamp.time()) : dc_;
-  const int b = first_branch();
-  const int brow = stamp.branch_index(b);
-  const double i = stamp.branch(b);
-  stamp.add_current(p_, i);
-  stamp.add_current(n_, -i);
-  stamp.add_jacobian(stamp.node_index(p_), brow, 1.0);
-  stamp.add_jacobian(stamp.node_index(n_), brow, -1.0);
-  stamp.add_branch_residual(b, stamp.v(p_) - stamp.v(n_) - value);
-  stamp.add_jacobian(brow, stamp.node_index(p_), 1.0);
-  stamp.add_jacobian(brow, stamp.node_index(n_), -1.0);
 }
 
 // --------------------------------------------------------- CurrentSource --

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <complex>
-#include <functional>
 #include <string>
 
 #include "circuit/mos_model.hpp"
@@ -88,24 +87,21 @@ class Capacitor final : public Device {
 
 /// Independent voltage source from p to n (one MNA branch variable; the
 /// branch current flows from p through the source to n).  Optional AC
-/// magnitude for small-signal excitation and optional time-domain waveform
-/// v(t) for transient analysis (defaults to the DC value).
+/// magnitude for small-signal excitation.  A transient run holds the DC
+/// value for all t > 0, so changing it after the initial operating point
+/// was solved applies a step at t = 0+.
 class VoltageSource final : public Device {
  public:
   VoltageSource(std::string name, NodeId p, NodeId n, double dc_value);
 
   void stamp_dc(DcStamp& stamp) const override;
   void stamp_ac(AcStamp& stamp) const override;
-  void stamp_tran(TranStamp& stamp) const override;
   int branch_count() const override { return 1; }
 
   double dc_value() const { return dc_; }
   void set_dc_value(double v) { dc_ = v; }
   std::complex<double> ac_value() const { return ac_; }
   void set_ac_value(std::complex<double> v) { ac_ = v; }
-  /// Transient waveform; if unset, the DC value is used for all t.
-  void set_waveform(std::function<double(double)> waveform);
-  void clear_waveform() { waveform_ = nullptr; }
 
   /// Index of this source's branch variable within the MNA vector layout
   /// (usable with DcStamp::branch / solution vectors).
@@ -118,7 +114,6 @@ class VoltageSource final : public Device {
   NodeId n_;
   double dc_;
   std::complex<double> ac_{0.0, 0.0};
-  std::function<double(double)> waveform_;
 };
 
 /// Independent current source; the current flows from p through the source

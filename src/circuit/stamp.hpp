@@ -163,12 +163,11 @@ class TranStamp : public DcStamp {
   TranStamp(const linalg::Vector& x, linalg::SystemMatrix& system,
             linalg::Vector& residual, std::size_t num_nodes,
             const Conditions& conditions, const linalg::Vector& x_prev,
-            double step, double time)
+            double step)
       : DcStamp(x, system, residual, num_nodes, conditions),
         x_prev_(x_prev),
         num_nodes_tran_(num_nodes),
-        step_(step),
-        time_(time) {}
+        step_(step) {}
 
   /// Node voltage at the previous accepted time point.
   double v_prev(NodeId n) const {
@@ -178,8 +177,6 @@ class TranStamp : public DcStamp {
   double branch_prev(int b) const { return x_prev_[num_nodes_tran_ - 1 + b]; }
   /// Step size h [s].
   double step() const { return step_; }
-  /// Time at the *end* of the step being solved [s].
-  double time() const { return time_; }
 
   /// Backward-Euler companion stamp for a capacitance between a and b.
   void add_capacitor(NodeId a, NodeId b, double c) {
@@ -196,7 +193,6 @@ class TranStamp : public DcStamp {
   const linalg::Vector& x_prev_;
   std::size_t num_nodes_tran_;
   double step_;
-  double time_;
 };
 
 }  // namespace mayo::circuit

@@ -51,17 +51,24 @@ constexpr double kFtWiden = 1.6;
 /// Bounded FIFO of design contexts (coordinate searches revisit a handful
 /// of designs; old entries can always be rebuilt).
 constexpr std::size_t kContextCapacity = 16;
+/// The nominal seed trajectory runs to this multiple of its own 90%
+/// crossing time.
+constexpr double kSeedGuard = 2.0;
+
+/// Level at `fraction` of the way from v_start to v_end.  The slew bench's
+/// early stop and slew_from_step share it, so the stop level is bitwise
+/// the 90% level the measurement looks for.
+double step_level(double v_start, double v_end, double fraction) {
+  return v_start + fraction * (v_end - v_start);
+}
 }  // namespace
 
-double slew_from_step(const std::vector<double>& time,
-                      const std::vector<double>& v) {
-  if (v.size() < 3) return 0.0;
+SlewResult slew_from_step(const std::vector<double>& time,
+                          const std::vector<double>& v, double v_end) {
+  if (v.empty()) return {};
   const double v_start = v.front();
-  const double v_end = v.back();
   const double delta = v_end - v_start;
-  if (std::abs(delta) < 1e-6) return 0.0;
-  const double v10 = v_start + 0.1 * delta;
-  const double v90 = v_start + 0.9 * delta;
+  if (std::abs(delta) < 1e-6) return {0.0, SlewStatus::kNoStep};
   const auto crossing = [&](double level) {
     for (std::size_t k = 1; k < v.size(); ++k) {
       const bool crossed = delta > 0.0 ? (v[k - 1] < level && v[k] >= level)
@@ -73,10 +80,10 @@ double slew_from_step(const std::vector<double>& time,
     }
     return -1.0;
   };
-  const double t10 = crossing(v10);
-  const double t90 = crossing(v90);
-  if (t10 < 0.0 || t90 < 0.0 || t90 <= t10) return 0.0;
-  return 0.8 * std::abs(delta) / (t90 - t10);
+  const double t10 = crossing(step_level(v_start, v_end, 0.1));
+  const double t90 = crossing(step_level(v_start, v_end, 0.9));
+  if (t10 < 0.0 || t90 < 0.0 || t90 <= t10) return {};
+  return {0.8 * std::abs(delta) / (t90 - t10), SlewStatus::kMeasured};
 }
 
 OpampHarness::OpampHarness(const BenchOptions& bench,
@@ -173,23 +180,44 @@ void OpampHarness::ensure_sr_section(DesignContext& ctx, const Vector& d,
   if (!op.converged) return;
   ctx.op_sr = op.solution;
   // Nominal step response: its trajectory seeds every sample's per-step
-  // Newton iteration.
-  const double step = bench_.sr_step;
-  sr.vinp->set_waveform([vcm, step](double t) {
-    return t <= 0.0 ? vcm : vcm + step;
-  });
+  // Newton iteration.  It runs a guard band past its own 90% crossing so
+  // that samples slower than nominal stay seeded; a sample that still
+  // outruns it continues unseeded.
+  StepResponse nominal =
+      step_response(op.solution, conditions, vcm, kSeedGuard, nullptr);
+  if (nominal.tran.converged) {
+    ctx.sr_traj = std::move(nominal.tran.solutions);
+    ctx.traj_valid = true;
+  }
+}
+
+OpampHarness::StepResponse OpampHarness::step_response(
+    const Vector& op, const Conditions& conditions, double vcm, double guard,
+    const std::vector<Vector>* seed) {
+  StepResponse response;
+  OpampBench& sr = *sr_bench_;
+  // The input steps from vcm to vcm + sr_step at t = 0+: a transient holds
+  // every source at its DC value for t > 0, so setting the final value is
+  // the step, and the same setting gives the settled point.
+  sr.vinp->set_dc_value(vcm + bench_.sr_step);
+  sim::DcOptions dc;
+  dc.solver = bench_.solver;
+  dc.workspace = &newton_sr_;
+  const sim::DcResult settled = sim::solve_dc(sr.netlist, conditions, dc, &op);
+  if (!settled.converged) return response;
+  const std::size_t out = sr.out - 1;
+  response.v_end = settled.solution[out];
+
   sim::TranOptions tran;
   tran.t_stop = bench_.sr_t_stop;
   tran.dt = bench_.sr_dt;
   tran.newton.solver = bench_.solver;
   tran.newton.workspace = &newton_sr_;
-  const sim::TranResult tr =
-      sim::solve_transient(sr.netlist, op.solution, conditions, tran);
-  sr.vinp->clear_waveform();
-  if (tr.converged) {
-    ctx.sr_traj = tr.solutions;
-    ctx.traj_valid = true;
-  }
+  tran.seed_trajectory = seed;
+  tran.stop =
+      sim::TranStop{out, step_level(op[out], response.v_end, 0.9), guard};
+  response.tran = sim::solve_transient(sr.netlist, op, conditions, tran);
+  return response;
 }
 
 // ----------------------------------------------------------- measurements --
@@ -248,21 +276,14 @@ OpampMeasurements OpampHarness::measure_with_context(DesignContext& ctx,
       sr.netlist, conditions, sr_dc, ctx.sr_converged ? &ctx.op_sr : nullptr);
   if (!sr_op.converged) return out;
 
-  const double step = bench_.sr_step;
-  sr.vinp->set_waveform([vcm, step](double t) {
-    return t <= 0.0 ? vcm : vcm + step;
-  });
-  sim::TranOptions tran;
-  tran.t_stop = bench_.sr_t_stop;
-  tran.dt = bench_.sr_dt;
-  tran.newton.solver = bench_.solver;
-  tran.newton.workspace = &newton_sr_;
-  tran.seed_trajectory = ctx.traj_valid ? &ctx.sr_traj : nullptr;
-  const sim::TranResult tr =
-      sim::solve_transient(sr.netlist, sr_op.solution, conditions, tran);
-  sr.vinp->clear_waveform();
-  if (!tr.converged) return out;
-  out.sr_v_per_us = 1e-6 * slew_from_step(tr.time, tr.node_voltage(sr.out));
+  const StepResponse response =
+      step_response(sr_op.solution, conditions, vcm, 1.0,
+                    ctx.traj_valid ? &ctx.sr_traj : nullptr);
+  if (!response.tran.converged) return out;
+  const SlewResult slew = slew_from_step(
+      response.tran.time, response.tran.node_voltage(sr.out), response.v_end);
+  out.sr_v_per_us = 1e-6 * slew.rate;
+  out.sr_settled = slew.status != SlewStatus::kNotSettled;
 
   out.valid = true;
   return out;

@@ -7,7 +7,9 @@
 //     to every AC frequency of interest) measuring A0, f_t, the phase
 //     margin, optionally CMRR, and the supply power;
 //   * a unity-gain transient bench measuring the positive slew rate from a
-//     step on the non-inverting input.
+//     step on the non-inverting input.  The step's 10%/90% levels come from
+//     the DC point at the final input, and the transient stops at the 90%
+//     crossing (DESIGN.md, "Slew rate").
 //
 // OpampHarness owns everything except the netlists: the per-(d, theta)
 // cache of nominal solves, the per-sample measurement chain, the scalar
@@ -31,6 +33,7 @@
 #include "linalg/system_matrix.hpp"
 #include "sim/ac.hpp"
 #include "sim/solver.hpp"
+#include "sim/transient.hpp"
 
 namespace mayo::circuits {
 
@@ -60,15 +63,30 @@ struct OpampMeasurements {
   double sr_v_per_us = 0.0;
   double power_mw = 0.0;
   bool valid = false;  ///< false when a DC or transient solve failed
+  /// False when the slew output did not reach its 90% level before
+  /// sr_t_stop; sr_v_per_us is then 0, which fails only the SR spec.
+  bool sr_settled = false;
 };
 
-/// 10%-90% slew rate [unit/s] of a step response: 0.8 |v_end - v_start|
-/// over the time between the first 10% and the first 90% crossings
-/// (linear interpolation between samples), for rising and falling edges.
-/// Returns 0 for fewer than 3 points, a step below 1e-6, or a missing
-/// crossing.
-double slew_from_step(const std::vector<double>& time,
-                      const std::vector<double>& v);
+/// Outcome of a slew measurement.
+enum class SlewStatus {
+  kMeasured,    ///< both crossings found
+  kNoStep,      ///< |v_end - v_start| below 1e-6: nothing to measure
+  kNotSettled,  ///< the waveform ends before its 10% or 90% crossing
+};
+
+struct SlewResult {
+  double rate = 0.0;  ///< [unit/s]; 0 unless kMeasured
+  SlewStatus status = SlewStatus::kNotSettled;
+};
+
+/// 10%-90% slew rate [unit/s] of a step response from v.front() towards
+/// the settled value `v_end`: 0.8 |v_end - v_start| over the time between
+/// the first 10% and the first 90% crossings (linear interpolation between
+/// samples), for rising and falling edges.  The waveform only needs to
+/// run up to its 90% crossing.
+SlewResult slew_from_step(const std::vector<double>& time,
+                          const std::vector<double>& v, double v_end);
 
 class OpampHarness : public core::PerformanceModel {
  public:
@@ -79,7 +97,7 @@ class OpampHarness : public core::PerformanceModel {
 
     double sat_margin = 0.05;  ///< required saturation margin [V]
     double sr_step = 0.5;      ///< input step of the slew bench [V]
-    double sr_t_stop;          ///< transient duration [s]
+    double sr_t_stop;          ///< cap on the transient duration [s]
     double sr_dt;              ///< transient step [s]
     /// Linear-solver backend selection for every bench solve (kAuto keeps
     /// the opamp-scale netlists on the dense fast path; tests force
@@ -151,6 +169,18 @@ class OpampHarness : public core::PerformanceModel {
                          const linalg::Vector& theta);
   void ensure_sr_section(DesignContext& ctx, const linalg::Vector& d,
                          const linalg::Vector& theta);
+  struct StepResponse {
+    double v_end = 0.0;    ///< settled output voltage
+    sim::TranResult tran;  ///< not converged if the settled DC failed too
+  };
+  /// Step response of the slew bench from its operating point `op` (input
+  /// at vcm): solves the settled point at vcm + sr_step, warm-started from
+  /// `op`, then integrates until the output reaches 90% of the way to it
+  /// (TranStop with `guard`), capped at sr_t_stop.
+  StepResponse step_response(const linalg::Vector& op,
+                             const circuit::Conditions& conditions, double vcm,
+                             double guard,
+                             const std::vector<linalg::Vector>* seed);
   OpampMeasurements measure_with_context(DesignContext& ctx,
                                          const linalg::Vector& d,
                                          const linalg::Vector& s,

@@ -38,7 +38,7 @@ struct NewtonScratch {
 /// solution on success.
 bool newton_step(Netlist& netlist, const Conditions& conditions,
                  const DcOptions& options, const Vector& x_prev, double h,
-                 double t, Vector& x, int& iteration_counter,
+                 Vector& x, int& iteration_counter,
                  LinearSystem& system, NewtonScratch& scratch) {
   const std::size_t n = netlist.system_size();
   const std::size_t num_nodes = netlist.num_nodes();
@@ -51,7 +51,7 @@ bool newton_step(Netlist& netlist, const Conditions& conditions,
     ++iteration_counter;
     linalg::SystemMatrix& jacobian = system.begin(n, options.solver);
     residual.fill(0.0);
-    TranStamp stamp(x, jacobian, residual, num_nodes, conditions, x_prev, h, t);
+    TranStamp stamp(x, jacobian, residual, num_nodes, conditions, x_prev, h);
     for (const auto& device : netlist) device->stamp_tran(stamp);
     for (std::size_t k = 0; k + 1 < num_nodes; ++k) {
       jacobian.add(static_cast<int>(k), static_cast<int>(k),
@@ -91,6 +91,9 @@ TranResult solve_transient(Netlist& netlist, const Vector& initial,
     throw std::invalid_argument("solve_transient: initial state size mismatch");
   if (!(options.dt > 0.0) || !(options.t_stop > 0.0))
     throw std::invalid_argument("solve_transient: dt and t_stop must be positive");
+  if (options.stop && (options.stop->unknown >= initial.size() ||
+                       !(options.stop->guard >= 1.0)))
+    throw std::invalid_argument("solve_transient: invalid stop condition");
   // Capacitors stamp companion conductances every step, so they count as
   // conduction edges for the transient boundary audit.
   audit::enforce_boundary(netlist, options.newton.audit,
@@ -114,6 +117,11 @@ TranResult solve_transient(Netlist& netlist, const Vector& initial,
                              ? *options.newton.workspace
                              : local_system;
   NewtonScratch scratch;
+  // Early stop: the direction is fixed by where the level lies relative to
+  // the initial state; t_reach < 0 until the level has been reached.
+  const bool stop_rising =
+      options.stop && options.stop->level >= initial[options.stop->unknown];
+  double t_reach = -1.0;
   const int steps = static_cast<int>(std::ceil(options.t_stop / options.dt));
   result.time.reserve(static_cast<std::size_t>(steps) + 1);
   result.solutions.reserve(static_cast<std::size_t>(steps) + 1);
@@ -146,7 +154,7 @@ TranResult solve_transient(Netlist& netlist, const Vector& initial,
         x[i] += seed_now[i] - seed_prev[i];
     }
     bool step_ok = newton_step(netlist, conditions, options.newton, x_prev, h,
-                               t, x, result.newton_iterations, system, scratch);
+                               x, result.newton_iterations, system, scratch);
     if (!step_ok && seeded) {
       // The seed increment threw Newton off course.  A seed that bad once
       // stays bad (the trajectories have already diverged), so dropping it
@@ -157,21 +165,20 @@ TranResult solve_transient(Netlist& netlist, const Vector& initial,
       seed_ok = false;
       tallies.tran_seed_resets.add();
       x = x_prev;
-      step_ok = newton_step(netlist, conditions, options.newton, x_prev, h, t,
-                            x, result.newton_iterations, system, scratch);
+      step_ok = newton_step(netlist, conditions, options.newton, x_prev, h, x,
+                            result.newton_iterations, system, scratch);
     }
     if (!step_ok) {
       // Retry once with half steps to get through sharp source edges.
       Vector x_half = x_prev;  // hot-ok: rare non-convergence retry path
-      const double t_mid = result.time.back() + 0.5 * h;
       const bool first_half = newton_step(netlist, conditions, options.newton,
-                                          x_prev, 0.5 * h, t_mid, x_half,
+                                          x_prev, 0.5 * h, x_half,
                                           result.newton_iterations, system,
                                           scratch);
       x = x_half;
       const bool second_half =
           first_half && newton_step(netlist, conditions, options.newton, x_half,
-                                    0.5 * h, t, x, result.newton_iterations,
+                                    0.5 * h, x, result.newton_iterations,
                                     system, scratch);
       if (!second_half) {
         result.converged = false;
@@ -185,6 +192,13 @@ TranResult solve_transient(Netlist& netlist, const Vector& initial,
     result.solutions.push_back(x);
     tallies.tran_steps.add();
     x_prev = std::move(x);
+    if (options.stop) {
+      const double v = x_prev[options.stop->unknown];
+      const bool reached = stop_rising ? v >= options.stop->level
+                                       : v <= options.stop->level;
+      if (t_reach < 0.0 && reached) t_reach = t;
+      if (t_reach >= 0.0 && t >= options.stop->guard * t_reach) break;
+    }
   }
   result.converged = true;
   tallies.tran_newton_iterations.add(

@@ -7,6 +7,8 @@
 // testbenches.
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "circuit/netlist.hpp"
@@ -14,6 +16,18 @@
 #include "sim/dc.hpp"
 
 namespace mayo::sim {
+
+/// Early-stop condition of a transient run: the run ends after the first
+/// accepted step at which `unknown` has reached `level` in the step's
+/// direction (x >= level when the level lies at or above the unknown's
+/// initial value, x <= level when it lies below), or, with a guard band,
+/// after the first step with t >= guard * t_reach, where t_reach is the
+/// time of that first step.
+struct TranStop {
+  std::size_t unknown = 0;  ///< MNA unknown index (node id - 1 for a node)
+  double level = 0.0;
+  double guard = 1.0;  ///< >= 1; 1 stops at the reaching step itself
+};
 
 /// Transient run controls.
 struct TranOptions {
@@ -29,6 +43,9 @@ struct TranOptions {
   /// the iteration count, not the method.  The pointee must outlive the
   /// solve_transient call.
   const std::vector<linalg::Vector>* seed_trajectory = nullptr;
+  /// Optional early stop; t_stop stays the cap.  The condition only ends
+  /// the step loop, so a stopped run is a bitwise prefix of the full run.
+  std::optional<TranStop> stop;
 };
 
 /// Result of a transient run: the solution vector at every accepted time
@@ -43,9 +60,9 @@ struct TranResult {
   std::vector<double> node_voltage(circuit::NodeId node) const;
 };
 
-/// Integrates from the DC state `initial` (computed with the sources at
-/// their t=0 values).  Sources with waveforms are evaluated at the end of
-/// each step.
+/// Integrates from the DC state `initial`.  Sources hold their current DC
+/// values for all t > 0, so a source changed after `initial` was solved
+/// is a step at t = 0+.
 TranResult solve_transient(circuit::Netlist& netlist,
                            const linalg::Vector& initial,
                            const circuit::Conditions& conditions,

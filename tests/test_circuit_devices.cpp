@@ -119,7 +119,7 @@ TEST(Capacitor, TransientCompanion) {
   Conditions cond;
   linalg::SystemMatrix system;
   system.bind_dense(jac);
-  TranStamp stamp(x, system, res, nodes, cond, x_prev, 1e-6, 1e-6);
+  TranStamp stamp(x, system, res, nodes, cond, x_prev, 1e-6);
   Capacitor c("C1", 1, kGround, 1e-9);
   c.stamp_tran(stamp);
   EXPECT_NEAR(res[0], 1e-9 / 1e-6 * 1.0, 1e-15);
@@ -147,7 +147,7 @@ TEST(VoltageSource, DcStampEquations) {
   EXPECT_EQ(fx.jacobian(2, 1), -1.0);
 }
 
-TEST(VoltageSource, WaveformUsedInTransient) {
+TEST(VoltageSource, TransientHoldsTheDcValue) {
   Vector x(2);
   Vector x_prev(2);
   Matrixd jac(2, 2);
@@ -155,18 +155,14 @@ TEST(VoltageSource, WaveformUsedInTransient) {
   Conditions cond;
   linalg::SystemMatrix system;
   system.bind_dense(jac);
-  TranStamp stamp(x, system, res, 2, cond, x_prev, 1e-9, 5e-9);
+  TranStamp stamp(x, system, res, 2, cond, x_prev, 1e-9);
   VoltageSource v("V1", 1, kGround, 1.0);
   v.set_first_branch(0);
-  v.set_waveform([](double t) { return t > 1e-9 ? 3.0 : 1.0; });
+  v.set_dc_value(3.0);  // a step applied after the initial operating point
   v.stamp_tran(stamp);
-  // Branch residual: v1 - value(t=5ns) = 0 - 3.
+  // Branch residual: v1 - V = 0 - 3.
   EXPECT_NEAR(res[1], -3.0, 1e-15);
-  v.clear_waveform();
-  res.fill(0.0);
-  TranStamp stamp2(x, system, res, 2, cond, x_prev, 1e-9, 5e-9);
-  v.stamp_tran(stamp2);
-  EXPECT_NEAR(res[1], -1.0, 1e-15);
+  EXPECT_EQ(jac(1, 0), 1.0);
 }
 
 TEST(CurrentSource, DcStampSpiceConvention) {

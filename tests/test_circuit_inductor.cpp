@@ -89,7 +89,7 @@ TEST(Inductor, TransientRlRise) {
   nl.add<Inductor>("L1", mid, kGround, 1e-3);  // tau = L/R = 1 us
   const auto op = sim::solve_dc(nl, Conditions{});
   ASSERT_TRUE(op.converged);
-  v.set_waveform([](double t) { return t > 0.0 ? 1.0 : 0.0; });
+  v.set_dc_value(1.0);  // step at t = 0+
   sim::TranOptions options;
   options.t_stop = 5e-6;
   options.dt = 5e-9;

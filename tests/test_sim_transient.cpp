@@ -31,7 +31,7 @@ TEST(Transient, RcStepResponse) {
   const DcResult op = solve_dc(nl, cond);
   ASSERT_TRUE(op.converged);
 
-  vin.set_waveform([](double t) { return t > 0.0 ? 1.0 : 0.0; });
+  vin.set_dc_value(1.0);  // step at t = 0+
   TranOptions options;
   options.t_stop = 5e-6;
   options.dt = 5e-9;  // tau/200 keeps BE's first-order error ~ 0.25%
@@ -89,7 +89,7 @@ TEST(Transient, RcDischargeConservesMonotonicity) {
   Conditions cond;
   const DcResult op = solve_dc(nl, cond);
   ASSERT_TRUE(op.converged);
-  vin.set_waveform([](double) { return 0.0; });
+  vin.set_dc_value(0.0);
   TranOptions options;
   options.t_stop = 3e-6;
   options.dt = 10e-9;
@@ -110,7 +110,7 @@ TEST(Transient, GoodSeedTrajectoryLeavesSolutionUnchanged) {
   nl.add<Capacitor>("C1", out, kGround, 1e-9);
   const DcResult op = solve_dc(nl, Conditions{});
   ASSERT_TRUE(op.converged);
-  vin.set_waveform([](double t) { return t > 0.0 ? 1.0 : 0.0; });
+  vin.set_dc_value(1.0);  // step at t = 0+
   TranOptions options;
   options.t_stop = 1e-6;
   options.dt = 10e-9;
@@ -145,7 +145,7 @@ TEST(Transient, BadSeedTrajectoryIsDroppedAfterFirstFailure) {
   nl.add<Capacitor>("C1", out, kGround, 1e-9);
   const DcResult op = solve_dc(nl, Conditions{});
   ASSERT_TRUE(op.converged);
-  vin.set_waveform([](double t) { return t > 0.0 ? 1.0 : 0.0; });
+  vin.set_dc_value(1.0);  // step at t = 0+
 
   TranOptions options;
   options.t_stop = 1e-6;
@@ -178,6 +178,85 @@ TEST(Transient, BadSeedTrajectoryIsDroppedAfterFirstFailure) {
   // before the seed was dropped; every later step ran cold.
   EXPECT_EQ(seeded.newton_iterations,
             reference.newton_iterations + options.newton.max_iterations);
+}
+
+/// RC step response (tau = 1 us, 0 -> 1 V) of the stop-condition tests.
+struct RcStep {
+  Netlist nl;
+  NodeId out = kGround;
+  Vector op;
+
+  RcStep() {
+    const NodeId in = nl.add_node("in");
+    out = nl.add_node("out");
+    auto& vin = nl.add<VoltageSource>("Vin", in, kGround, 0.0);
+    nl.add<Resistor>("R1", in, out, 1e3);
+    nl.add<Capacitor>("C1", out, kGround, 1e-9);
+    op = solve_dc(nl, Conditions{}).solution;
+    vin.set_dc_value(1.0);  // step at t = 0+
+  }
+};
+
+TEST(TransientStop, StoppedRunIsABitwisePrefixOfTheFullRun) {
+  RcStep rc;
+  TranOptions options;
+  options.t_stop = 3e-6;
+  options.dt = 10e-9;
+  const TranResult full = solve_transient(rc.nl, rc.op, Conditions{}, options);
+  ASSERT_TRUE(full.converged);
+
+  const double level = 0.9;  // reached near t = tau ln 10 = 2.3 us
+  options.stop = TranStop{static_cast<std::size_t>(rc.out - 1), level};
+  const TranResult stopped =
+      solve_transient(rc.nl, rc.op, Conditions{}, options);
+  ASSERT_TRUE(stopped.converged);
+  ASSERT_LT(stopped.time.size(), full.time.size());
+  for (std::size_t k = 0; k < stopped.time.size(); ++k) {
+    EXPECT_EQ(stopped.time[k], full.time[k]) << k;
+    ASSERT_EQ(stopped.solutions[k].size(), full.solutions[k].size());
+    for (std::size_t i = 0; i < full.solutions[k].size(); ++i)
+      EXPECT_EQ(stopped.solutions[k][i], full.solutions[k][i]) << k;
+  }
+  // The run ends at the first step at or past the level.
+  const std::vector<double> v = stopped.node_voltage(rc.out);
+  EXPECT_GE(v.back(), level);
+  for (std::size_t k = 0; k + 1 < v.size(); ++k) EXPECT_LT(v[k], level) << k;
+}
+
+TEST(TransientStop, GuardBandAndFallingLevel) {
+  RcStep rc;
+  TranOptions options;
+  options.t_stop = 3e-6;
+  options.dt = 10e-9;
+  const auto unknown = static_cast<std::size_t>(rc.out - 1);
+  options.stop = TranStop{unknown, 0.5};
+  const TranResult at_level =
+      solve_transient(rc.nl, rc.op, Conditions{}, options);
+  const double t_reach = at_level.time.back();
+  // Guard 2: runs on to the first step at or past 2 t_reach.
+  options.stop->guard = 2.0;
+  const TranResult guarded =
+      solve_transient(rc.nl, rc.op, Conditions{}, options);
+  EXPECT_GE(guarded.time.back(), 2.0 * t_reach);
+  EXPECT_LT(guarded.time[guarded.time.size() - 2], 2.0 * t_reach);
+  // A level below the initial value waits for a falling crossing, which
+  // this rising response never makes: the run goes to t_stop.
+  options.stop = TranStop{unknown, -0.1};
+  const TranResult never =
+      solve_transient(rc.nl, rc.op, Conditions{}, options);
+  ASSERT_TRUE(never.converged);
+  EXPECT_DOUBLE_EQ(never.time.back(), options.t_stop);
+}
+
+TEST(TransientStop, ValidatesTheCondition) {
+  RcStep rc;
+  TranOptions options;
+  options.stop = TranStop{rc.nl.system_size(), 0.5};
+  EXPECT_THROW(solve_transient(rc.nl, rc.op, Conditions{}, options),
+               std::invalid_argument);
+  options.stop = TranStop{0, 0.5, 0.5};
+  EXPECT_THROW(solve_transient(rc.nl, rc.op, Conditions{}, options),
+               std::invalid_argument);
 }
 
 TEST(SlopeHelpers, MaxSlope) {
@@ -217,7 +296,7 @@ double rc_step_error(double dt) {
   nl.add<Resistor>("R1", in, out, 1e3);
   nl.add<Capacitor>("C1", out, kGround, 1e-9);  // tau = 1 us
   const DcResult op = solve_dc(nl, Conditions{});
-  vin.set_waveform([](double t) { return t > 0.0 ? 1.0 : 0.0; });
+  vin.set_dc_value(1.0);  // step at t = 0+
   TranOptions options;
   options.t_stop = 3e-6;
   options.dt = dt;
@@ -249,7 +328,7 @@ TEST(TransientBackwardEuler, InductorRlMatchesAnalytic) {
   nl.add<Resistor>("R1", in, mid, 1e3);
   nl.add<circuit::Inductor>("L1", mid, kGround, 1e-3);  // tau = 1 us
   const auto op = solve_dc(nl, Conditions{});
-  v.set_waveform([](double t) { return t > 0.0 ? 1.0 : 0.0; });
+  v.set_dc_value(1.0);  // step at t = 0+
   TranOptions options;
   options.t_stop = 4e-6;
   options.dt = 10e-9;  // BE error ~ dt/(2 tau) * max(t e^{-t}) ~ 2e-3

@@ -78,6 +78,7 @@ python3 perfbench/test_metrics.py
 python3 perfbench/run.py --workload fc_optimize --seed 3 --seconds 1 --trace 0
 python3 perfbench/run.py --workload fc_optimize --seed 5 --seconds 1 --trace 0
 python3 perfbench/run.py --workload miller_optimize --seed 1 --seconds 1 --trace 1
+python3 perfbench/run.py --workload fc_mc_sweep --seed 1 --seconds 5 --trace 0
 
 # The obs counters and spans must compile out completely: same tests,
 # instrumentation shells only (test_obs pins the no-op behaviour).
