@@ -306,9 +306,9 @@ void BM_VerifyParallel(benchmark::State& state) {
   FoldedCascodeFixture fx;
   core::Evaluator ev(fx.problem);
   const auto corners = core::find_worst_case_operating(ev, fx.d);
+  ev.set_threads(static_cast<unsigned>(state.range(0)));
   core::VerificationOptions options;
   options.num_samples = 32;
-  options.threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
     ev.clear_cache();
     benchmark::DoNotOptimize(

@@ -29,12 +29,9 @@ int main() {
   options.max_iterations = 4;
   options.linear_samples = 10000;
   options.verification.num_samples = 300;
-  // The per-iteration verification Monte Carlo on all cores too: every
-  // thread count sees the same samples and pass/fail decisions, so the
-  // printed yields and evaluation counts match the serial run.
-  options.verification.threads = 0;
-  // Fan the per-spec worst-case searches out over all cores; results are
-  // bitwise identical to the serial path (see build_linearizations).
+  // Every independent batch of simulations -- worst-case search stencils,
+  // operating corners, MC and IS verification blocks -- on all cores.  The
+  // printed yields and evaluation counts are those of the serial run.
   options.linearization_threads = 0;
   // Variance-reduced final verification: one adaptive mean-shift IS pass
   // at the final design, reusing the worst-case points the last

@@ -207,6 +207,14 @@ OpampHarness::StepResponse OpampHarness::step_response(
   if (!settled.converged) return response;
   const std::size_t out = sr.out - 1;
   response.v_end = settled.solution[out];
+  // A unity-gain follower must follow its step.  Far outside the
+  // feasibility region the bench can have several equilibria at the final
+  // input, and the settled solve may land next to the initial point while
+  // the response heads for another: its 10%/90% levels would be wrong.
+  if (std::abs(response.v_end - op[out]) < 0.5 * std::abs(bench_.sr_step)) {
+    response.followed = false;
+    return response;
+  }
 
   sim::TranOptions tran;
   tran.t_stop = bench_.sr_t_stop;
@@ -279,11 +287,15 @@ OpampMeasurements OpampHarness::measure_with_context(DesignContext& ctx,
   const StepResponse response =
       step_response(sr_op.solution, conditions, vcm, 1.0,
                     ctx.traj_valid ? &ctx.sr_traj : nullptr);
-  if (!response.tran.converged) return out;
-  const SlewResult slew = slew_from_step(
-      response.tran.time, response.tran.node_voltage(sr.out), response.v_end);
+  SlewResult slew{0.0, SlewStatus::kNotFollowed};
+  if (response.followed) {
+    if (!response.tran.converged) return out;
+    slew = slew_from_step(response.tran.time,
+                          response.tran.node_voltage(sr.out), response.v_end);
+  }
   out.sr_v_per_us = 1e-6 * slew.rate;
-  out.sr_settled = slew.status != SlewStatus::kNotSettled;
+  out.sr_settled = slew.status == SlewStatus::kMeasured ||
+                   slew.status == SlewStatus::kNoStep;
 
   out.valid = true;
   return out;

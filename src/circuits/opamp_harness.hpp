@@ -64,7 +64,9 @@ struct OpampMeasurements {
   double power_mw = 0.0;
   bool valid = false;  ///< false when a DC or transient solve failed
   /// False when the slew output did not reach its 90% level before
-  /// sr_t_stop; sr_v_per_us is then 0, which fails only the SR spec.
+  /// sr_t_stop, or when the settled output did not follow the input step
+  /// (SlewStatus::kNotFollowed); sr_v_per_us is then 0, which fails only
+  /// the SR spec.
   bool sr_settled = false;
 };
 
@@ -73,6 +75,11 @@ enum class SlewStatus {
   kMeasured,    ///< both crossings found
   kNoStep,      ///< |v_end - v_start| below 1e-6: nothing to measure
   kNotSettled,  ///< the waveform ends before its 10% or 90% crossing
+  /// The settled output moved less than half the input step: a unity-gain
+  /// follower that does not follow its input has no slew to measure, and
+  /// its settled DC point may be another equilibrium than the one the
+  /// step response heads for.  The transient is not run.
+  kNotFollowed,
 };
 
 struct SlewResult {
@@ -171,12 +178,14 @@ class OpampHarness : public core::PerformanceModel {
                          const linalg::Vector& theta);
   struct StepResponse {
     double v_end = 0.0;    ///< settled output voltage
+    bool followed = true;  ///< false: kNotFollowed, no transient was run
     sim::TranResult tran;  ///< not converged if the settled DC failed too
   };
   /// Step response of the slew bench from its operating point `op` (input
   /// at vcm): solves the settled point at vcm + sr_step, warm-started from
-  /// `op`, then integrates until the output reaches 90% of the way to it
-  /// (TranStop with `guard`), capped at sr_t_stop.
+  /// `op`, then -- unless the output moved less than half the step --
+  /// integrates until the output reaches 90% of the way to it (TranStop
+  /// with `guard`), capped at sr_t_stop.
   StepResponse step_response(const linalg::Vector& op,
                              const circuit::Conditions& conditions, double vcm,
                              double guard,

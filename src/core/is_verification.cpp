@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "core/check.hpp"
-#include "core/worker_pool.hpp"
 #include "obs/obs.hpp"
 #include "stats/rng.hpp"
 
@@ -118,101 +116,71 @@ SpecIsEstimate finalize_estimate(std::size_t spec, const IsAccumulator& acc,
   return estimate;
 }
 
-IsBlockEvaluator::IsBlockEvaluator(Evaluator& evaluator, std::size_t block_size)
-    : evaluator_(evaluator),
-      values_(std::max<std::size_t>(block_size, 1), evaluator.num_specs()) {}
-
-void IsBlockEvaluator::run_block(const DesignVec& d, std::size_t spec,
-                                 const OperatingVec& theta,
-                                 const stats::ShiftedSampler& sampler,
-                                 std::size_t first, std::size_t count,
-                                 IsAccumulator& acc) {
-  if (count == 0) return;
-  const std::size_t num_specs = evaluator_.num_specs();
-  if (values_.rows() < count)
-    values_ = Matrixd(count, num_specs);  // hot-ok: grow-only, reused
-  const linalg::StatUnitBlock block = sampler.samples().block(first, count);
-  // One batch call at the spec's own worst-case corner (the per-spec
-  // face of the corner-grouped path of detail::BlockVerifier).
-  evaluator_.performances_batch(
-      d, block, theta,
-      linalg::PerfBlockView(MatrixView(values_).middle_rows(0, count)), ws_,
-      Budget::kVerification);
-  const Specification& spec_def = evaluator_.problem().specs[spec];
-  // Accumulation stays in ascending sample order: together with the
-  // fixed block-merge order of the round runner this makes the fold
-  // independent of which worker ran which block.
-  for (std::size_t r = 0; r < count; ++r) {
-    const double value = values_(r, spec);
-    MAYO_CHECK_FINITE(value, "importance_sample_verify: performance sample");
-    acc.add(spec_def.margin(value) < 0.0, sampler.weight(first + r));
-  }
-  obs::Counters& tallies = obs::registry().counters;
-  tallies.mc_is_blocks.add();
-  tallies.mc_is_samples.add(count);
-}
-
 }  // namespace detail
 
 namespace {
 
-/// One parallel worker's private evaluation chain: cloned model, its own
-/// Evaluator (cold caches) and block engine.  Heap-held so the
-/// YieldProblem the Evaluator references keeps a stable address.
-struct WorkerContext {
-  WorkerContext(const YieldProblem& problem, std::size_t block_size)
-      : local(problem) {
-    local.model = std::shared_ptr<PerformanceModel>(problem.model->clone());
-    evaluator = std::make_unique<Evaluator>(local);
-    engine = std::make_unique<detail::IsBlockEvaluator>(*evaluator, block_size);
-  }
+/// One (spec, round) allocation: its sub-stream's draws and their
+/// performance values (row = draw).
+struct Round {
+  Round(std::size_t spec, std::uint64_t round_id, std::size_t count,
+        const WorstCasePoint& wc, std::size_t num_specs,
+        const IsVerificationOptions& options)
+      : spec(spec),
+        sampler(count, wc.s_wc,
+                stats::substream_seed(options.seed, spec, round_id),
+                wc.mirrored),
+        values(count, num_specs) {}
 
-  YieldProblem local;
-  std::unique_ptr<Evaluator> evaluator;
-  std::unique_ptr<detail::IsBlockEvaluator> engine;
+  std::size_t spec;
+  stats::ShiftedSampler sampler;
+  Matrixd values;
 };
 
-/// Runs one (spec, round) allocation: draws the round's sub-stream,
-/// evaluates its blocks (serial, or fanned over the worker pool) and
-/// folds the per-block tallies into `total` in ascending block order --
-/// the merge sequence that makes serial and parallel runs bitwise equal.
-void run_round(const DesignVec& d, std::size_t spec, std::uint64_t round_id,
-               std::size_t count, const WorstCasePoint& wc,
-               const OperatingVec& theta, const IsVerificationOptions& options,
-               detail::IsBlockEvaluator& serial_engine,
-               std::vector<std::unique_ptr<WorkerContext>>& workers,
-               detail::IsAccumulator& total) {
-  const stats::ShiftedSampler sampler(
-      count, wc.s_wc, stats::substream_seed(options.seed, spec, round_id),
-      wc.mirrored);
+/// Evaluates the rounds' draws as one batch -- one block of block_size
+/// draws at a time, each at its spec's own worst-case corner -- then
+/// folds every round into totals[spec]: each block's (fail, weight) pairs
+/// into a block accumulator in ascending draw order, the blocks in
+/// ascending order.
+void run_rounds(Evaluator& evaluator, const DesignVec& d,
+                std::vector<Round>& rounds,
+                const std::vector<OperatingVec>& theta_wc,
+                const IsVerificationOptions& options, EvalWorkspace& ws,
+                std::vector<detail::IsAccumulator>& totals) {
   const std::size_t block_size = std::max<std::size_t>(options.block_size, 1);
-  const std::size_t num_blocks = (count + block_size - 1) / block_size;
-  std::vector<detail::IsAccumulator> block_accs(num_blocks);
-
-  const unsigned pool = static_cast<unsigned>(
-      std::min<std::size_t>(workers.size(), num_blocks));
-  if (pool > 1) {
-    // Blocks go to worker b % pool; each worker writes only its own
-    // slots of block_accs (disjoint memory locations).
-    run_workers(pool, [&](unsigned t) {  // parallel-entry
-      WorkerContext& ctx = *workers[t];
-      for (std::size_t b = t; b < num_blocks; b += pool) {
-        const std::size_t first = b * block_size;
-        const std::size_t n = std::min(block_size, count - first);
-        ctx.engine->run_block(d, spec, theta, sampler, first, n,
-                              block_accs[b]);
-      }
-    });
-  } else {
-    for (std::size_t b = 0; b < num_blocks; ++b) {
-      const std::size_t first = b * block_size;
+  std::vector<EvalBlock> blocks;
+  for (Round& round : rounds) {
+    const std::size_t count = round.sampler.count();
+    for (std::size_t first = 0; first < count;
+         first += std::min(block_size, count - first)) {
       const std::size_t n = std::min(block_size, count - first);
-      serial_engine.run_block(d, spec, theta, sampler, first, n,
-                              block_accs[b]);
+      blocks.push_back(
+          {&d, round.sampler.samples().block(first, n),
+           &theta_wc[round.spec],
+           linalg::PerfBlockView(MatrixView(round.values).middle_rows(first, n))});
     }
   }
+  evaluator.performances_blocks(blocks, ws, Budget::kVerification);
 
-  for (std::size_t b = 0; b < num_blocks; ++b) total.merge(block_accs[b]);
+  obs::Counters& tallies = obs::registry().counters;
+  for (const Round& round : rounds) {
+    const Specification& spec_def = evaluator.problem().specs[round.spec];
+    const std::size_t count = round.sampler.count();
+    for (std::size_t first = 0; first < count;
+         first += std::min(block_size, count - first)) {
+      const std::size_t n = std::min(block_size, count - first);
+      detail::IsAccumulator block;
+      for (std::size_t r = first; r < first + n; ++r) {
+        const double value = round.values(r, round.spec);
+        MAYO_CHECK_FINITE(value,
+                          "importance_sample_verify: performance sample");
+        block.add(spec_def.margin(value) < 0.0, round.sampler.weight(r));
+      }
+      totals[round.spec].merge(block);
+      tallies.mc_is_blocks.add();
+      tallies.mc_is_samples.add(n);
+    }
+  }
 }
 
 /// The smallest share of a round's draws centred on one failure lobe of
@@ -260,37 +228,24 @@ IsVerificationResult importance_sample_verify(
   const obs::Span span(obs::registry().phases.is_verification);
 
   const std::size_t evals_before = evaluator.counts().verification;
-  const std::size_t block_size = std::max<std::size_t>(options.block_size, 1);
-  detail::IsBlockEvaluator serial_engine(evaluator, block_size);
-
-  // Worker pool, built once and reused by every round.  Capped by the
-  // largest number of blocks any single round can have -- extra workers
-  // would only pay the model-clone cost and then idle.
-  const std::size_t round_cap =
-      std::max(options.initial_samples, options.round_samples);
-  const unsigned threads = resolve_threads(
-      options.threads, (round_cap + block_size - 1) / block_size);
-  std::vector<std::unique_ptr<WorkerContext>> workers;
-  if (threads > 1 && evaluator.problem().model->clone() != nullptr) {
-    workers.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t)
-      workers.push_back(
-          std::make_unique<WorkerContext>(evaluator.problem(), block_size));
-  }
+  EvalWorkspace ws;
 
   std::vector<detail::IsAccumulator> totals(num_specs);
   std::vector<SpecIsEstimate> estimates(num_specs);
   obs::Counters& tallies = obs::registry().counters;
 
   // Round 0: every spec gets its initial allocation (sub-stream
-  // (spec, 0)).
-  for (std::size_t i = 0; i < num_specs; ++i) {
-    run_round(d, i, 0, options.initial_samples, worst_cases[i], theta_wc[i],
-              options, serial_engine, workers, totals[i]);
+  // (spec, 0)); the specs' rounds are independent, so they form one batch.
+  std::vector<Round> batch;
+  batch.reserve(num_specs);
+  for (std::size_t i = 0; i < num_specs; ++i)
+    batch.emplace_back(i, 0, options.initial_samples, worst_cases[i],
+                       num_specs, options);
+  run_rounds(evaluator, d, batch, theta_wc, options, ws, totals);
+  for (std::size_t i = 0; i < num_specs; ++i)
     estimates[i] = detail::finalize_estimate(
         i, totals[i], worst_cases[i].s_wc.norm(),
         lobe_share(worst_cases[i], options), options);
-  }
 
   // Adaptive rounds: spend each round's budget on the spec with the
   // widest failure CI (ties -> lowest index; sub-stream (spec, r)).
@@ -303,21 +258,16 @@ IsVerificationResult importance_sample_verify(
     if (options.target_half_width > 0.0 &&
         estimates[widest].half_width() <= options.target_half_width)
       break;
-    run_round(d, widest, r, options.round_samples, worst_cases[widest],
-              theta_wc[widest], options, serial_engine, workers,
-              totals[widest]);
+    batch.clear();
+    batch.emplace_back(widest, r, options.round_samples, worst_cases[widest],
+                       num_specs, options);
+    run_rounds(evaluator, d, batch, theta_wc, options, ws, totals);
     estimates[widest] = detail::finalize_estimate(
         widest, totals[widest], worst_cases[widest].s_wc.norm(),
         lobe_share(worst_cases[widest], options), options);
     ++rounds;
     tallies.mc_is_rounds.add();
   }
-
-  // Worker evaluations join the caller's verification budget.
-  std::size_t worker_evaluations = 0;
-  for (const std::unique_ptr<WorkerContext>& worker : workers)
-    worker_evaluations += worker->evaluator->counts().verification;
-  evaluator.charge_verification(worker_evaluations);
 
   IsVerificationResult result;
   result.rounds = rounds;

@@ -51,10 +51,12 @@
 // each later round spends round_samples on the spec with the widest
 // failure CI (ties -> lowest spec index).  Every (spec, round) pair
 // draws its own deterministic RNG sub-stream
-// (stats::substream_seed(seed, spec, round)), and per-block partial
-// sums merge in ascending block order, so the estimates, the CIs and
-// therefore the entire allocation sequence are bitwise identical across
-// serial/parallel execution and thread counts.
+// (stats::substream_seed(seed, spec, round)); the sample blocks of a
+// round -- of all specs' rounds 0 together -- form one Evaluator batch
+// (run on the evaluator's pool when its thread count is above 1), and
+// per-block partial sums merge in ascending block order on the caller, so
+// the estimates, the CIs and therefore the entire allocation sequence are
+// bitwise identical for every thread count.
 #pragma once
 
 #include <cstddef>
@@ -83,11 +85,6 @@ struct IsVerificationOptions {
   /// sums and may differ in the last ulp.
   std::size_t block_size = 32;
   double z = 1.96;  ///< CI width (1.96 ~ 95%)
-  /// Worker threads: 1 = serial, 0 = hardware concurrency.  Results are
-  /// bitwise identical for every thread count; only evaluation-cache
-  /// hit patterns (and hence eval counts) can differ, because parallel
-  /// workers start with cold caches.
-  unsigned threads = 1;
 };
 
 /// Importance-sampled failure estimate of one specification.
@@ -117,7 +114,7 @@ struct IsVerificationResult {
   /// [1 - sum_i upper_i, 1 - max_i lower_i], clamped to [0, 1].
   stats::YieldInterval confidence{};
   std::vector<SpecIsEstimate> per_spec;  ///< index = spec
-  std::size_t evaluations = 0;  ///< model evaluations spent (all workers)
+  std::size_t evaluations = 0;  ///< model evaluations spent
   std::size_t rounds = 0;       ///< adaptive rounds run (round 0 excluded)
 };
 
@@ -140,9 +137,9 @@ IsVerificationResult importance_sample_verify(
 namespace detail {
 
 /// Weighted per-spec tallies of one sample block (or the running merge
-/// of many).  Plain double sums -- not Welford -- so that merging block
-/// accumulators in ascending block order reproduces the serial fold bit
-/// for bit regardless of which worker ran which block.
+/// of many).  Plain double sums -- not Welford -- folded per block and
+/// merged in ascending block order: the grouping is fixed by the block
+/// size alone.
 struct IsAccumulator {
   std::size_t count = 0;
   std::size_t fails = 0;
@@ -172,30 +169,6 @@ struct IsAccumulator {
 SpecIsEstimate finalize_estimate(std::size_t spec, const IsAccumulator& acc,
                                  double shift_norm, double lobe_share,
                                  const IsVerificationOptions& options);
-
-/// Block-evaluation engine of the IS verifier: evaluates shifted-sample
-/// blocks through the Evaluator batch path (the corner-grouped spine of
-/// verification.hpp, one corner per spec) and folds (fail, weight) pairs
-/// into an IsAccumulator in ascending sample order.  Not thread-safe;
-/// parallel workers own one engine (plus one Evaluator) each.
-class IsBlockEvaluator {
- public:
-  IsBlockEvaluator(Evaluator& evaluator, std::size_t block_size);
-
-  /// Evaluates samples [first, first + count) of `sampler` at `theta`
-  /// and accumulates spec `spec`'s failures into `acc`.
-  void run_block(const linalg::DesignVec& d, std::size_t spec,
-                 const linalg::OperatingVec& theta,
-                 const stats::ShiftedSampler& sampler, std::size_t first,
-                 std::size_t count, IsAccumulator& acc);
-
-  Evaluator& evaluator() { return evaluator_; }
-
- private:
-  Evaluator& evaluator_;
-  EvalWorkspace ws_;
-  linalg::Matrixd values_;  ///< per-block performance values (row = sample)
-};
 
 }  // namespace detail
 

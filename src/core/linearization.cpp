@@ -1,7 +1,6 @@
 #include "core/linearization.hpp"
 
 #include "core/verification.hpp"
-#include "core/worker_pool.hpp"
 #include "obs/obs.hpp"
 
 namespace mayo::core {
@@ -48,58 +47,6 @@ void append_spec_models(std::size_t spec, const OperatingVec& theta_wc,
   }
 }
 
-/// One spec's worst-case distance search result plus the design gradient
-/// at that worst-case point.
-struct SpecTask {
-  WorstCasePoint wc;
-  DesignVec grad_d;
-};
-
-/// Runs the worst-case distance search and the design gradient of specs
-/// first, first + stride, ... on `evaluator`, writing only their slots of
-/// `tasks`.  The single-threaded run is (0, 1) on the caller's evaluator;
-/// worker t of the fan-out is (t, threads) on its own cloned evaluator.
-/// Each spec's evaluator calls are the same in both, so the results are
-/// too.
-void linearize_specs(Evaluator& evaluator, const DesignVec& d_f,
-                     const WcOperatingResult& operating,
-                     const LinearizationOptions& options, std::size_t first,
-                     std::size_t stride, std::vector<SpecTask>& tasks) {
-  for (std::size_t i = first; i < tasks.size(); i += stride) {
-    SpecTask& task = tasks[i];
-    task.wc = find_worst_case_point(evaluator, i, d_f, operating.theta_wc[i],
-                                    options.wc);
-    task.grad_d = evaluator.margin_gradient_d(i, d_f, task.wc.s_wc,
-                                              operating.theta_wc[i],
-                                              options.design_step_fraction);
-  }
-}
-
-/// Runs linearize_specs on `threads` workers, each with its own cloned
-/// model and evaluator, and charges the workers' evaluations to
-/// `evaluator`'s optimization budget.  The spec -> worker assignment is a
-/// pure function of the spec index, so re-runs with the same thread count
-/// exercise identical per-worker evaluation sequences.
-void fan_out_specs(Evaluator& evaluator, const DesignVec& d_f,
-                   const WcOperatingResult& operating,
-                   const LinearizationOptions& options, unsigned threads,
-                   std::vector<SpecTask>& tasks) {
-  const YieldProblem& problem = evaluator.problem();
-  std::vector<std::size_t> worker_evals(threads, 0);
-  run_workers(threads, [&](unsigned t) {  // parallel-entry
-    // Thread-local copy of the problem with a cloned model.
-    YieldProblem local = problem;
-    local.model = std::shared_ptr<PerformanceModel>(problem.model->clone());
-    Evaluator local_evaluator(local);
-    linearize_specs(local_evaluator, d_f, operating, options, t, threads,
-                    tasks);
-    worker_evals[t] = local_evaluator.counts().optimization;
-  });
-  std::size_t total = 0;
-  for (const std::size_t evals : worker_evals) total += evals;
-  evaluator.charge_optimization(total);
-}
-
 /// Ablation: pretend every worst case sits at the nominal point.  The
 /// finite-difference block is shared across specs: one margin_gradients_s
 /// batch per distinct operating corner instead of a per-spec gradient
@@ -142,25 +89,25 @@ void linearize_at_nominal(Evaluator& evaluator, const DesignVec& d_f,
 
 LinearizedModels build_linearizations(Evaluator& evaluator,
                                       const DesignVec& d_f,
-                                      const LinearizationOptions& options,
-                                      unsigned threads) {
-  const std::size_t num_specs = evaluator.num_specs();
-
+                                      const LinearizationOptions& options) {
   // Phase accounting: the worst-case searches (operating corners, then the
   // per-spec statistical distance searches and design gradients) and the
   // model building proper record into disjoint spans, so
   // worst_case_search + linearization partition this function's wall time.
   LinearizedModels out;
-  std::vector<SpecTask> tasks(num_specs);
+  std::vector<DesignVec> grad_d;
   {
     const obs::Span span(obs::registry().phases.worst_case_search);
     out.operating = find_worst_case_operating(evaluator, d_f, options.operating);
     if (!options.linearize_at_nominal) {
-      threads = resolve_threads(threads, std::max<std::size_t>(num_specs, 1));
-      if (threads > 1 && evaluator.problem().model->clone() != nullptr)
-        fan_out_specs(evaluator, d_f, out.operating, options, threads, tasks);
-      else
-        linearize_specs(evaluator, d_f, out.operating, options, 0, 1, tasks);
+      for (std::size_t i = 0; i < evaluator.num_specs(); ++i) {
+        const OperatingVec& theta_wc = out.operating.theta_wc[i];
+        out.worst_cases.push_back(
+            find_worst_case_point(evaluator, i, d_f, theta_wc, options.wc));
+        grad_d.push_back(evaluator.margin_gradient_d(
+            i, d_f, out.worst_cases.back().s_wc, theta_wc,
+            options.design_step_fraction));
+      }
     }
   }
 
@@ -169,11 +116,9 @@ LinearizedModels build_linearizations(Evaluator& evaluator,
     linearize_at_nominal(evaluator, d_f, options, out);
     return out;
   }
-  for (std::size_t i = 0; i < num_specs; ++i) {
-    append_spec_models(i, out.operating.theta_wc[i], d_f, tasks[i].wc,
-                       std::move(tasks[i].grad_d), options.enable_mirror, out);
-    out.worst_cases.push_back(std::move(tasks[i].wc));
-  }
+  for (std::size_t i = 0; i < out.worst_cases.size(); ++i)
+    append_spec_models(i, out.operating.theta_wc[i], d_f, out.worst_cases[i],
+                       std::move(grad_d[i]), options.enable_mirror, out);
   return out;
 }
 

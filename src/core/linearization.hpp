@@ -61,23 +61,12 @@ struct LinearizedModels {
 };
 
 /// Builds theta_wc, the worst-case points and the linear models at d_f.
-///
-/// With threads > 1 (0 = hardware concurrency) the per-spec worst-case
-/// distance searches and design gradients -- the dominant cost of one
-/// optimizer iteration -- fan out over workers, each with its own cloned
-/// model and evaluator.  Spec i goes to worker i % threads, results are
-/// merged in ascending spec order, and model evaluations are pure
-/// functions of (d, s, theta) (see evaluator.hpp), so every returned
-/// model, worst-case point and operating corner is bitwise identical to
-/// the single-threaded run.  Worker evaluation counts are charged to
-/// `evaluator`'s optimization budget; only the cache-hit pattern (and
-/// hence the counters) can differ, because workers start with cold
-/// caches.  The run stays on the caller's evaluator when threads <= 1,
-/// the model is not clonable, or the nominal ablation is on (its shared
-/// finite-difference batch is already one evaluation block).
+/// The specs' worst-case searches run one after another on `evaluator`;
+/// each search's independent evaluations (curvature probes, gradient
+/// stencils) are batches, which run on the evaluator's pool when its
+/// thread count is above 1 (see evaluator.hpp).
 LinearizedModels build_linearizations(Evaluator& evaluator,
                                       const linalg::DesignVec& d_f,
-                                      const LinearizationOptions& options = {},
-                                      unsigned threads = 1);
+                                      const LinearizationOptions& options = {});
 
 }  // namespace mayo::core

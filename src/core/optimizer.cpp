@@ -55,6 +55,7 @@ void attach_verification(Evaluator& evaluator, IterationRecord& record,
 YieldOptimizationResult optimize_yield(Evaluator& evaluator,
                                        const YieldOptimizerOptions& options) {
   enforce_problem_boundary(evaluator.problem(), options.audit);
+  evaluator.set_threads(options.linearization_threads);
 
   const auto start_time = std::chrono::steady_clock::now();
   YieldOptimizationResult result;
@@ -77,8 +78,8 @@ YieldOptimizationResult optimize_yield(Evaluator& evaluator,
                                  options.sample_seed);
 
   // Initial linearization doubles as the "Initial" trace row.
-  LinearizedModels linearized = build_linearizations(
-      evaluator, d_f, options.linearization, options.linearization_threads);
+  LinearizedModels linearized =
+      build_linearizations(evaluator, d_f, options.linearization);
   {
     IterationRecord initial =
         make_record(evaluator, d_f, linearized, samples, 0);
@@ -122,9 +123,8 @@ YieldOptimizationResult optimize_yield(Evaluator& evaluator,
 
       // Step 5: re-linearize at the candidate and apply the monotone
       // safeguard.
-      LinearizedModels candidate_models = build_linearizations(
-          evaluator, d_new, options.linearization,
-          options.linearization_threads);
+      LinearizedModels candidate_models =
+          build_linearizations(evaluator, d_new, options.linearization);
       IterationRecord record = make_record(evaluator, d_new, candidate_models,
                                            samples, iteration);
       if (options.monotone_safeguard &&

@@ -44,11 +44,13 @@ struct YieldOptimizerOptions {
   /// behaviour of a misled linear model (Tables 3/4).
   bool monotone_safeguard = true;
   LinearizationOptions linearization;
-  /// Worker threads for the per-spec worst-case searches of every
-  /// (re-)linearization (see build_linearizations): 1 = serial,
-  /// 0 = hardware concurrency.  Results are bitwise identical to serial;
-  /// only the evaluation-cache hit pattern (and hence the counters) can
-  /// differ, because each worker starts with a cold cache.
+  /// The optimizer's thread count: optimize_yield hands it to
+  /// Evaluator::set_threads, so every independent batch of simulations --
+  /// worst-case search stencils and probes, operating corners, MC and IS
+  /// verification blocks -- runs on the evaluator's pool.  1 = all on the
+  /// caller's thread, 0 = every CPU the process may use.  Results and
+  /// evaluation counts are the same for every value.  (The name predates
+  /// the pool, when only the linearization was threaded.)
   unsigned linearization_threads = 1;
   CoordinateSearchOptions search;
   LineSearchOptions line_search;
@@ -99,7 +101,8 @@ struct YieldOptimizationResult {
   double wall_seconds = 0.0;
 };
 
-/// Runs the optimization starting at the problem's nominal design.
+/// Runs the optimization starting at the problem's nominal design.  Sets
+/// the evaluator's thread count to options.linearization_threads.
 YieldOptimizationResult optimize_yield(Evaluator& evaluator,
                                        const YieldOptimizerOptions& options = {});
 

@@ -82,6 +82,11 @@ class ProbeCache {
     for (std::size_t i = 0; i < count; ++i) key[base + i] = word_of(p[i]);
   }
 
+  /// This cache's hash of `key`.
+  std::uint64_t hash(const Key& key) const {
+    return hash_(key.data(), key.size());
+  }
+
   /// Stored value for `key`, or nullptr.  The pointer is invalidated by the
   /// next insert() or clear().
   const linalg::Vector* find(const Key& key) const {

@@ -9,21 +9,19 @@
 //
 // The paper ran its experiments "on a network (100 Mbit/sec) of 5
 // computers in parallel" (Table 7).  The verification is embarrassingly
-// parallel over samples: with VerificationOptions::threads > 1 it fans
-// out over workers, each with its own deep copy of the performance model
-// (the models are stateful: netlists, Newton warm starts) and its own
-// evaluator.  Workers pull whole sample blocks (round-robin by block
-// index) through the same detail::BlockVerifier as the single-threaded
-// run, so the sample set, the per-sample decisions and the pass count are
-// identical for every thread count; only the floating-point accumulation
-// order of the reported moments depends on it.
+// parallel over samples: up to 64 sample blocks, each once per corner
+// group, form one Evaluator batch (performances_blocks), so with an
+// evaluator thread count above 1 the blocks run concurrently on the
+// evaluator's pool
+// (core/worker_pool.hpp).  Pass/fail decisions and moments are folded on
+// the caller in ascending sample order, so every result is bitwise
+// identical for every thread count.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "core/evaluator.hpp"
-#include "stats/sampler.hpp"
 #include "stats/summary.hpp"
 
 namespace mayo::core {
@@ -40,11 +38,6 @@ struct VerificationOptions {
   /// row exactly like a scalar probe, and per-sample statistics are always
   /// accumulated in ascending sample order).
   std::size_t block_size = 32;
-  /// Worker threads: 1 = run on the caller's evaluator, 0 = hardware
-  /// concurrency.  Threaded runs need a clonable model (else they run on
-  /// the caller's evaluator too) and charge their workers' evaluations to
-  /// the caller's verification budget.
-  unsigned threads = 1;
 };
 
 struct VerificationResult {
@@ -57,7 +50,6 @@ struct VerificationResult {
   std::vector<double> performance_stddev;
   std::size_t evaluations = 0;            ///< model evaluations spent
   /// Per-sample pass decision (only with record_decisions; else empty).
-  /// Identical for every thread count by construction.
   std::vector<std::uint8_t> sample_pass;
 };
 
@@ -70,55 +62,10 @@ struct CornerGrouping {
 CornerGrouping group_corners(const std::vector<linalg::OperatingVec>& theta_wc);
 
 /// Runs the verification at design d with the given per-spec worst-case
-/// operating points (index = spec), on options.threads workers.
+/// operating points (index = spec).
 VerificationResult monte_carlo_verify(
     Evaluator& evaluator, const linalg::DesignVec& d,
     const std::vector<linalg::OperatingVec>& theta_wc,
     const VerificationOptions& options = {});
-
-namespace detail {
-
-/// Block-evaluation engine of the verifier: evaluates sample blocks
-/// corner-major through the Evaluator batch path and folds per-sample
-/// pass/fail decisions and performance statistics into its accumulators
-/// in ascending sample order.  Every worker runs the exact same code per
-/// sample, so decisions are identical for every thread count by
-/// construction.  Not thread-safe; each worker owns one verifier (plus one
-/// Evaluator).
-class BlockVerifier {
- public:
-  /// `evaluator` and `grouping` must outlive the verifier.  `block_size`
-  /// pre-sizes the per-corner value buffers.
-  BlockVerifier(Evaluator& evaluator, const CornerGrouping& grouping,
-                std::size_t block_size);
-
-  /// Evaluates samples [first, first + count) against every distinct
-  /// corner and accumulates them in ascending sample order.  When
-  /// `sample_pass` is non-null, per-sample decisions are written at their
-  /// absolute sample indices.
-  void run_block(const linalg::DesignVec& d, const stats::SampleSet& samples,
-                 std::size_t first, std::size_t count,
-                 std::vector<std::uint8_t>* sample_pass);
-
-  std::size_t passing() const { return passing_; }
-  const std::vector<std::size_t>& fails_per_spec() const {
-    return fails_per_spec_;
-  }
-  const std::vector<stats::RunningStats>& perf_stats() const {
-    return perf_stats_;
-  }
-
- private:
-  Evaluator& evaluator_;
-  const CornerGrouping& grouping_;
-  EvalWorkspace ws_;
-  /// Per-corner performance values of the current block (row = sample).
-  std::vector<linalg::Matrixd> corner_values_;
-  std::size_t passing_ = 0;
-  std::vector<std::size_t> fails_per_spec_;
-  std::vector<stats::RunningStats> perf_stats_;
-};
-
-}  // namespace detail
 
 }  // namespace mayo::core

@@ -34,9 +34,11 @@ SearchOutcome run_search(Evaluator& evaluator, std::size_t spec,
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     ++out.iterations;
-    out.margin = evaluator.margin(spec, d, out.s, theta_wc);
+    // The base point and its finite-difference stencil are one batch; the
+    // margin is then a cache hit.
     out.gradient = evaluator.margin_gradient_s(spec, d, out.s, theta_wc,
                                                options.gradient_step);
+    out.margin = evaluator.margin(spec, d, out.s, theta_wc);
     const double g2 = out.gradient.norm2();
     if (g2 < 1e-20) return out;  // flat -- this start is hopeless
 
@@ -97,13 +99,20 @@ WorstCasePoint find_worst_case_point(Evaluator& evaluator, std::size_t spec,
       double radius;
     };
     std::vector<Axis> axes;
-    StatUnitVec probe(n);
+    // All 2n central-difference probes (+h, -h along every axis) form one
+    // batch.
+    std::vector<StatUnitVec> probes(2 * n, StatUnitVec(n));
+    std::vector<EvalPoint> points(2 * n);
     for (std::size_t i = 0; i < n; ++i) {
-      probe[i] = h;
-      const double m_plus = evaluator.margin(spec, d, probe, theta_wc);
-      probe[i] = -h;
-      const double m_minus = evaluator.margin(spec, d, probe, theta_wc);
-      probe[i] = 0.0;
+      probes[2 * i][i] = h;
+      probes[2 * i + 1][i] = -h;
+      points[2 * i] = {&d, &probes[2 * i], &theta_wc};
+      points[2 * i + 1] = {&d, &probes[2 * i + 1], &theta_wc};
+    }
+    const linalg::Matrixd margins = evaluator.margins_at(points);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double m_plus = margins(2 * i, spec);
+      const double m_minus = margins(2 * i + 1, spec);
       const double curvature =
           (m_plus - 2.0 * result.margin_nominal + m_minus) / (h * h);
       // A mismatch axis hurts on both sides and with meaningful strength.

@@ -45,8 +45,7 @@ WcOperatingResult find_worst_case_operating(Evaluator& evaluator,
   result.worst_margin.assign(num_specs,
                              std::numeric_limits<double>::infinity());
 
-  const auto consider = [&](const OperatingVec& theta) {
-    const linalg::MarginVec m = evaluator.margins(d, s0, theta);
+  const auto consider = [&](const OperatingVec& theta, const double* m) {
     for (std::size_t i = 0; i < num_specs; ++i) {
       if (m[i] < result.worst_margin[i]) {
         result.worst_margin[i] = m[i];
@@ -55,7 +54,14 @@ WcOperatingResult find_worst_case_operating(Evaluator& evaluator,
     }
   };
 
-  for (const OperatingVec& corner : candidates) consider(corner);
+  // Every candidate corner is one point of a single batch.
+  std::vector<EvalPoint> points;
+  points.reserve(candidates.size());
+  for (const OperatingVec& corner : candidates)
+    points.push_back({&d, &s0, &corner});
+  const linalg::Matrixd corner_margins = evaluator.margins_at(points);
+  for (std::size_t c = 0; c < candidates.size(); ++c)
+    consider(candidates[c], corner_margins.row(c));
 
   if (options.coordinate_refinement) {
     // One coordinate sweep per spec winner: probe the midpoint of each
@@ -66,7 +72,7 @@ WcOperatingResult find_worst_case_operating(Evaluator& evaluator,
       for (std::size_t k = 0; k < operating.dimension(); ++k) {
         OperatingVec probe = theta;
         probe[k] = 0.5 * (operating.lower[k] + operating.upper[k]);
-        consider(probe);
+        consider(probe, evaluator.margins(d, s0, probe).data());
       }
     }
   }

@@ -14,7 +14,7 @@
 //     MAYO_OBS=OFF): Counter/PhaseTimer/Span become empty no-op types, so
 //     call sites vanish at -O1 and the library carries zero overhead.
 //   * Thread-safe by construction.  Counters are relaxed atomics; the
-//     parallel verifier's workers all hit the same registry.  Counter
+//     evaluation pool's workers all hit the same registry.  Counter
 //     *totals* are deterministic for a deterministic workload; the split
 //     across workers is not (work is pulled), which is why decisions and
 //     results never depend on them.

@@ -150,6 +150,33 @@ TEST(SlewBench, TooShortWindowReportsNotSettled) {
   EXPECT_GT(m.a0_db, 0.0);
 }
 
+TEST(SlewBench, FollowerThatDoesNotFollowReportsNoSlew) {
+  // bench/table3_no_constraints' 2nd-iteration design, far outside the
+  // feasibility region (A0 below 1 dB): for the 0.5 V input step the
+  // settled output moves a few mV, and it is not the equilibrium the step
+  // response heads for.  No slew is measured there: SR 0, not settled,
+  // while the measurement stays valid so only the SR spec fails.
+  const linalg::Vector d{7.9995249933915885e-05, 0.00010306464734827884,
+                         4.1082913616000111e-05, 4.0000000000000003e-05,
+                         4.0000000000000003e-05, 4.0000000000000003e-05,
+                         5.0000000000000002e-05};
+  const core::YieldProblem problem = FoldedCascode::make_problem();
+  FoldedCascode fc;
+  for (const double temp :
+       {problem.operating.lower[0], problem.operating.upper[0]}) {
+    for (const double vdd :
+         {problem.operating.lower[1], problem.operating.upper[1]}) {
+      SCOPED_TRACE(::testing::Message() << temp << " K, " << vdd << " V");
+      const OpampMeasurements m = fc.measure(
+          d, linalg::Vector(FoldedCascodeStats::kCount), {temp, vdd});
+      ASSERT_TRUE(m.valid);
+      EXPECT_FALSE(m.sr_settled);
+      EXPECT_EQ(m.sr_v_per_us, 0.0);
+      EXPECT_LT(m.a0_db, 1.0);
+    }
+  }
+}
+
 /// Nominal SR at the production dt and three successive halvings.
 template <typename Opamp>
 std::vector<double> sr_over_halvings(std::size_t num_stats) {

@@ -141,6 +141,38 @@ TEST(EvaluatorBatch, DuplicateRowsSimulatedOnceAndCountedAsHits) {
   }
 }
 
+std::uint64_t colliding_hash(const std::uint64_t*, std::size_t) { return 7; }
+
+TEST(EvaluatorBatch, DuplicatesAcrossALargeBatchFoundUnderAnyHash) {
+  // 4096 rows cycling through 1024 distinct points: the batch's duplicate
+  // index must find every repeat, also when every key hashes alike.
+  constexpr std::size_t kDistinct = 1024;
+  constexpr std::size_t kRows = 4 * kDistinct;
+  const Matrixd distinct = sample_block(kDistinct, 3, 0x5EEDu);
+  Matrixd block(kRows, 3);
+  for (std::size_t r = 0; r < kRows; ++r)
+    for (std::size_t c = 0; c < 3; ++c)
+      block(r, c) = distinct((r * 7) % kDistinct, c);
+
+  for (const ProbeCache::HashFn hash :
+       {static_cast<ProbeCache::HashFn>(nullptr), &colliding_hash}) {
+    auto problem = testing::make_synthetic_problem();
+    auto* model = static_cast<testing::SyntheticModel*>(problem.model.get());
+    Evaluator evaluator(problem, CacheOptions{0, hash});
+    const DesignVec d(problem.design.nominal);
+    Matrixd out(kRows, 2);
+    EvalWorkspace ws;
+    evaluator.performances_batch(d, unit_block(block), OperatingVec{0.0},
+                                 perf_view(out), ws, Budget::kVerification);
+    EXPECT_EQ(model->evaluations, static_cast<int>(kDistinct));
+    EXPECT_EQ(evaluator.counts().verification, kDistinct);
+    EXPECT_EQ(evaluator.counts().cache_hits, kRows - kDistinct);
+    for (std::size_t r = kDistinct; r < kRows; ++r)
+      for (std::size_t i = 0; i < 2; ++i)
+        ASSERT_EQ(out(r, i), out(r - kDistinct, i)) << "row " << r;
+  }
+}
+
 TEST(EvaluatorBatch, WarmCacheServesBatchWithoutEvaluations) {
   auto problem = testing::make_synthetic_problem();
   auto* model = static_cast<testing::SyntheticModel*>(problem.model.get());

@@ -111,10 +111,9 @@ TEST(IsVerification, BitwiseIdenticalAcrossThreadCounts) {
   for (unsigned threads : {1u, 2u, 4u}) {
     auto problem = testing::make_synthetic_problem(2.0, 1.0);
     Evaluator ev(problem);
-    IsVerificationOptions run = options;
-    run.threads = threads;
-    results.push_back(importance_sample_verify(ev, d, synthetic_theta_wc(),
-                                               synthetic_worst_cases(), run));
+    ev.set_threads(threads);
+    results.push_back(importance_sample_verify(
+        ev, d, synthetic_theta_wc(), synthetic_worst_cases(), options));
   }
 
   const IsVerificationResult& serial = results[0];
@@ -124,6 +123,7 @@ TEST(IsVerification, BitwiseIdenticalAcrossThreadCounts) {
     EXPECT_EQ(parallel.confidence.lower, serial.confidence.lower);
     EXPECT_EQ(parallel.confidence.upper, serial.confidence.upper);
     EXPECT_EQ(parallel.rounds, serial.rounds);
+    EXPECT_EQ(parallel.evaluations, serial.evaluations);
     ASSERT_EQ(parallel.per_spec.size(), serial.per_spec.size());
     for (std::size_t i = 0; i < serial.per_spec.size(); ++i) {
       const SpecIsEstimate& a = serial.per_spec[i];
@@ -149,8 +149,8 @@ TEST(IsVerification, RepeatRunsAreIdentical) {
   const DesignVec d(problem.design.nominal);
   const IsVerificationResult first = importance_sample_verify(
       ev, d, synthetic_theta_wc(), synthetic_worst_cases(), options);
-  // Second run hits the warm evaluation cache; purity makes the numbers
-  // identical anyway.
+  // The second run simulates its draws again (verification rows are not
+  // cached); purity makes the numbers identical.
   const IsVerificationResult second = importance_sample_verify(
       ev, d, synthetic_theta_wc(), synthetic_worst_cases(), options);
   EXPECT_EQ(first.yield, second.yield);

@@ -58,30 +58,25 @@ TEST(ParallelVerify, MatchesSerialExactly) {
 
   auto problem2 = testing::make_synthetic_problem(2.0, 1.0);
   Evaluator parallel_ev(problem2);
-  VerificationOptions popts = vopts;
-  popts.threads = 4;
+  parallel_ev.set_threads(4);
   const VerificationResult parallel = monte_carlo_verify(
-      parallel_ev, DesignVec(problem2.design.nominal), theta_wc, popts);
+      parallel_ev, DesignVec(problem2.design.nominal), theta_wc, vopts);
 
-  // Pass/fail decisions are identical; only moment accumulation order
-  // differs (exact integer counts must match).
+  // The pool only simulates; decisions and moments are folded on the
+  // caller in sample order, so everything matches bit for bit.
   EXPECT_EQ(parallel.yield, serial.yield);
   EXPECT_EQ(parallel.fails_per_spec, serial.fails_per_spec);
   EXPECT_EQ(parallel.evaluations, serial.evaluations);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_NEAR(parallel.performance_mean[i], serial.performance_mean[i],
-                1e-10);
-    EXPECT_NEAR(parallel.performance_stddev[i], serial.performance_stddev[i],
-                1e-10);
-  }
+  EXPECT_EQ(parallel.performance_mean, serial.performance_mean);
+  EXPECT_EQ(parallel.performance_stddev, serial.performance_stddev);
 }
 
 TEST(ParallelVerify, ChargesVerificationBudget) {
   auto problem = testing::make_synthetic_problem(2.0, 1.0);
   Evaluator ev(problem);
+  ev.set_threads(3);
   VerificationOptions popts;
   popts.num_samples = 100;
-  popts.threads = 3;
   const VerificationResult result = monte_carlo_verify(
       ev, DesignVec(problem.design.nominal),
       {OperatingVec{1.0}, OperatingVec{1.0}}, popts);
@@ -94,7 +89,6 @@ TEST(ParallelVerify, SingleThreadFallsBackToSerial) {
   Evaluator ev(problem);
   VerificationOptions popts;
   popts.num_samples = 50;
-  popts.threads = 1;
   const VerificationResult result = monte_carlo_verify(
       ev, DesignVec(problem.design.nominal),
       {OperatingVec{1.0}, OperatingVec{1.0}}, popts);
@@ -128,9 +122,9 @@ TEST(ParallelVerify, NonClonableModelFallsBackToSerial) {
   problem.operating.nominal = Vector{0.5};
   problem.statistical.add(stats::StatParam::global("s", 0.0, 1.0));
   Evaluator ev(problem);
+  ev.set_threads(4);
   VerificationOptions popts;
   popts.num_samples = 64;
-  popts.threads = 4;
   const VerificationResult result = monte_carlo_verify(
       ev, DesignVec(problem.design.nominal), {OperatingVec{0.5}}, popts);
   EXPECT_GT(result.yield, 0.7);  // Phi(1) ~ 0.84
@@ -145,19 +139,19 @@ TEST(ParallelVerify, WorksOnRealCircuit) {
 
   VerificationOptions popts;
   popts.num_samples = 60;
-  popts.threads = 4;
+  ev.set_threads(4);
   const VerificationResult parallel = monte_carlo_verify(
       ev, DesignVec(problem.design.nominal), corners.theta_wc, popts);
 
   auto problem2 = circuits::Miller::make_problem();
   Evaluator ev2(problem2);
-  VerificationOptions vopts = popts;
-  vopts.threads = 1;
   const VerificationResult serial = monte_carlo_verify(
-      ev2, DesignVec(problem2.design.nominal), corners.theta_wc, vopts);
+      ev2, DesignVec(problem2.design.nominal), corners.theta_wc, popts);
 
   EXPECT_EQ(parallel.fails_per_spec, serial.fails_per_spec);
   EXPECT_EQ(parallel.yield, serial.yield);
+  EXPECT_EQ(parallel.performance_mean, serial.performance_mean);
+  EXPECT_EQ(parallel.evaluations, serial.evaluations);
 }
 
 }  // namespace

@@ -1,14 +1,16 @@
-// Determinism contract of the threaded Monte-Carlo verifier: for every
-// thread count and sample count, monte_carlo_verify produces the same pass
-// count, the same per-spec failure counts, and (with record_decisions)
+// Determinism contract of the Monte-Carlo verifier on the evaluation
+// pool: for every thread count and sample count, monte_carlo_verify
+// produces the same pass count, the same per-spec failure counts and
+// moments, the same evaluation count, and (with record_decisions)
 // bit-identical per-sample pass/fail decisions as the single-threaded
-// run.  Only floating-point accumulation order of
-// the reported moments may differ.
+// run.
 #include "core/verification.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -41,7 +43,7 @@ VerificationResult run_parallel(std::size_t num_samples, unsigned threads,
   opts.num_samples = num_samples;
   opts.record_decisions = true;
   opts.block_size = block_size;
-  opts.threads = threads;
+  ev.set_threads(threads);
   return monte_carlo_verify(
       ev, DesignVec(problem.design.nominal),
       {OperatingVec{1.0}, OperatingVec{0.0}}, opts);
@@ -53,6 +55,15 @@ void expect_identical(const VerificationResult& serial,
   EXPECT_EQ(parallel.fails_per_spec, serial.fails_per_spec);
   EXPECT_EQ(parallel.sample_pass, serial.sample_pass);
   EXPECT_EQ(parallel.evaluations, serial.evaluations);
+  // Bit patterns, so that the NaN stddev of a single sample compares too.
+  const auto bits = [](const std::vector<double>& xs) {
+    std::vector<std::uint64_t> out;
+    for (const double x : xs) out.push_back(std::bit_cast<std::uint64_t>(x));
+    return out;
+  };
+  EXPECT_EQ(bits(parallel.performance_mean), bits(serial.performance_mean));
+  EXPECT_EQ(bits(parallel.performance_stddev),
+            bits(serial.performance_stddev));
 }
 
 TEST(ParallelDeterminism, ThreadCountSweep) {
@@ -127,9 +138,9 @@ TEST(ParallelDeterminism, DecisionsConsistentWithAggregates) {
 TEST(ParallelDeterminism, DecisionsOffByDefault) {
   auto problem = testing::make_synthetic_problem(2.0, 1.0);
   Evaluator ev(problem);
+  ev.set_threads(2);
   VerificationOptions opts;
   opts.num_samples = 16;
-  opts.threads = 2;
   const VerificationResult result = monte_carlo_verify(
       ev, DesignVec(problem.design.nominal),
       {OperatingVec{1.0}, OperatingVec{0.0}}, opts);

@@ -1,10 +1,10 @@
-// Determinism contract of the threaded linearization fan-out: for every
-// thread count, build_linearizations returns models, worst-case points and
-// operating corners that are BITWISE identical to the single-threaded
-// run.  Model evaluations are pure functions of
-// (d, s, theta) (see evaluator.hpp), so per-worker cold caches change how
-// often points are re-simulated but never the values -- only the
-// evaluation *counters* may differ between the two paths.
+// Determinism contract of the evaluation pool for the linearization and
+// the whole optimizer: for every thread count, build_linearizations
+// returns models, worst-case points and operating corners that are
+// BITWISE identical to the single-threaded run, and the evaluation
+// counters are equal too -- the pool only simulates the misses of each
+// batch, while the caller's evaluator probes and charges them in row
+// order against its one cache.
 #include "core/linearization.hpp"
 
 #include <gtest/gtest.h>
@@ -30,10 +30,10 @@ LinearizedModels run_parallel(unsigned threads,
                               bool linearize_at_nominal = false) {
   auto problem = testing::make_synthetic_problem(2.0, 1.0);
   Evaluator ev(problem);
+  ev.set_threads(threads);
   LinearizationOptions opts;
   opts.linearize_at_nominal = linearize_at_nominal;
-  return build_linearizations(ev, DesignVec(problem.design.nominal), opts,
-                              threads);
+  return build_linearizations(ev, DesignVec(problem.design.nominal), opts);
 }
 
 void expect_identical(const LinearizedModels& serial,
@@ -87,13 +87,15 @@ TEST(ParallelLinearization, ThreadCountSweep) {
   }
 }
 
-TEST(ParallelLinearization, MoreThreadsThanSpecs) {
-  expect_identical(run_serial(), run_parallel(64));
+TEST(ParallelLinearization, MoreThreadsThanBatchRows) {
+  // Wider than any batch of the synthetic problem (4-row stencils, 3-row
+  // corner sets): idle workers must not disturb anything.
+  expect_identical(run_serial(), run_parallel(16));
 }
 
-TEST(ParallelLinearization, NominalAblationFallsBackToSerial) {
+TEST(ParallelLinearization, NominalAblationMatchesSerial) {
   // The ablation's shared finite-difference batch is one evaluation
-  // block; the parallel entry must route it to the serial path untouched.
+  // block; on the pool it must give the serial models bit for bit.
   auto problem = testing::make_synthetic_problem(2.0, 1.0);
   Evaluator ev(problem);
   LinearizationOptions serial_opts;
@@ -106,47 +108,71 @@ TEST(ParallelLinearization, NominalAblationFallsBackToSerial) {
 TEST(ParallelLinearization, WorkerEvaluationsChargedToOptimizer) {
   auto problem = testing::make_synthetic_problem(2.0, 1.0);
   Evaluator ev(problem);
-  (void)build_linearizations(ev, DesignVec(problem.design.nominal), {},
-                             /*threads=*/2);
-  // The fan-out must charge every worker evaluation to the optimization
-  // budget; the serial path's count is a lower bound (workers start with
-  // cold caches, so they may re-simulate points the shared cache reused).
+  ev.set_threads(2);
+  (void)build_linearizations(ev, DesignVec(problem.design.nominal));
+  // Every pool evaluation is charged to the optimization budget, and the
+  // shared cache makes the count the serial one exactly.
   auto serial_problem = testing::make_synthetic_problem(2.0, 1.0);
   Evaluator serial_ev(serial_problem);
   (void)build_linearizations(serial_ev,
                              DesignVec(serial_problem.design.nominal));
-  EXPECT_GE(ev.counts().optimization, serial_ev.counts().optimization);
+  EXPECT_EQ(ev.counts().optimization, serial_ev.counts().optimization);
+  EXPECT_EQ(ev.counts().cache_hits, serial_ev.counts().cache_hits);
   EXPECT_EQ(ev.counts().verification, 0u);
 }
 
 TEST(ParallelLinearization, OptimizerRouteMatchesSerial) {
-  // The full Fig. 6 loop with parallel linearizations reproduces the
-  // serial trace bit for bit (same designs, same yields).
+  // The full Fig. 6 loop, plain-MC and IS verification included, at
+  // threads 1-4: same trace, designs, linearizations, IS bracket and
+  // evaluation counts, bit for bit.
   YieldOptimizerOptions base;
   base.max_iterations = 2;
   base.linear_samples = 400;
   base.verification.num_samples = 50;
+  base.run_is_verification = true;
+  base.is_verification.initial_samples = 32;
+  base.is_verification.round_samples = 16;
+  base.is_verification.max_rounds = 2;
+  base.is_verification.block_size = 8;
 
-  auto serial_problem = testing::make_synthetic_problem(2.0, 1.0);
-  Evaluator serial_ev(serial_problem);
-  const YieldOptimizationResult serial = optimize_yield(serial_ev, base);
-
-  YieldOptimizerOptions parallel_opts = base;
-  parallel_opts.linearization_threads = 4;
-  auto parallel_problem = testing::make_synthetic_problem(2.0, 1.0);
-  Evaluator parallel_ev(parallel_problem);
-  const YieldOptimizationResult parallel =
-      optimize_yield(parallel_ev, parallel_opts);
-
-  ASSERT_EQ(parallel.trace.size(), serial.trace.size());
-  for (std::size_t i = 0; i < serial.trace.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(parallel.trace[i].d, serial.trace[i].d);
-    EXPECT_EQ(parallel.trace[i].linear_yield, serial.trace[i].linear_yield);
-    EXPECT_EQ(parallel.trace[i].verified_yield,
-              serial.trace[i].verified_yield);
+  std::vector<YieldOptimizationResult> results;
+  for (unsigned threads : {1u, 2u, 3u, 4u}) {
+    YieldOptimizerOptions options = base;
+    options.linearization_threads = threads;
+    auto problem = testing::make_synthetic_problem(2.0, 1.0);
+    Evaluator ev(problem);
+    results.push_back(optimize_yield(ev, options));
+    EXPECT_EQ(ev.threads(), threads);
   }
-  EXPECT_EQ(parallel.final_d, serial.final_d);
+  const YieldOptimizationResult& serial = results.front();
+  ASSERT_TRUE(serial.is_verification_run);
+  for (std::size_t k = 1; k < results.size(); ++k) {
+    SCOPED_TRACE(k + 1);
+    const YieldOptimizationResult& parallel = results[k];
+    ASSERT_EQ(parallel.trace.size(), serial.trace.size());
+    for (std::size_t i = 0; i < serial.trace.size(); ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_EQ(parallel.trace[i].d, serial.trace[i].d);
+      EXPECT_EQ(parallel.trace[i].linear_yield, serial.trace[i].linear_yield);
+      EXPECT_EQ(parallel.trace[i].verified_yield,
+                serial.trace[i].verified_yield);
+      EXPECT_EQ(parallel.trace[i].verification.performance_mean,
+                serial.trace[i].verification.performance_mean);
+    }
+    EXPECT_EQ(parallel.final_d, serial.final_d);
+    ASSERT_EQ(parallel.linearizations.size(), serial.linearizations.size());
+    for (std::size_t i = 0; i < serial.linearizations.size(); ++i)
+      expect_identical(serial.linearizations[i], parallel.linearizations[i]);
+    EXPECT_EQ(parallel.is_verification.yield, serial.is_verification.yield);
+    EXPECT_EQ(parallel.is_verification.confidence.lower,
+              serial.is_verification.confidence.lower);
+    EXPECT_EQ(parallel.is_verification.confidence.upper,
+              serial.is_verification.confidence.upper);
+    EXPECT_EQ(parallel.counts.optimization, serial.counts.optimization);
+    EXPECT_EQ(parallel.counts.verification, serial.counts.verification);
+    EXPECT_EQ(parallel.counts.constraint, serial.counts.constraint);
+    EXPECT_EQ(parallel.counts.cache_hits, serial.counts.cache_hits);
+  }
 }
 
 }  // namespace

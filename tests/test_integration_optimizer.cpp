@@ -3,6 +3,8 @@
 // ablations (Tables 3 and 4) in their qualitative form.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "circuits/folded_cascode.hpp"
 #include "circuits/miller.hpp"
 #include "core/mismatch.hpp"
@@ -89,6 +91,62 @@ TEST(Integration, AblationNominalLinearizationFailsToImproveTrueYield) {
   EXPECT_LT(result.trace.back().linear_yield, 0.7);
   // The true yield also stalls below the proper method's ~99%+.
   EXPECT_LT(result.trace.back().verified_yield, 0.99);
+}
+
+TEST(Integration, FoldedCascodeIsThreadCountIndependent) {
+  // Two iterations with plain-MC and IS verification at threads 1-4: the
+  // pool only simulates, the caller's evaluator probes and charges, so the
+  // trace, the linearizations, the IS bracket and every evaluation count
+  // are those of the serial run, bit for bit.
+  YieldOptimizerOptions options = fast_options();
+  options.max_iterations = 2;
+  options.run_is_verification = true;
+  options.is_verification.initial_samples = 32;
+  options.is_verification.round_samples = 32;
+  options.is_verification.max_rounds = 1;
+  std::vector<core::YieldOptimizationResult> results;
+  for (const unsigned threads : {1u, 2u, 3u, 4u}) {
+    options.linearization_threads = threads;
+    auto problem = FoldedCascode::make_problem();
+    Evaluator ev(problem);
+    results.push_back(core::optimize_yield(ev, options));
+  }
+  const core::YieldOptimizationResult& serial = results.front();
+  ASSERT_TRUE(serial.is_verification_run);
+  for (std::size_t k = 1; k < results.size(); ++k) {
+    SCOPED_TRACE(k + 1);
+    const core::YieldOptimizationResult& run = results[k];
+    ASSERT_EQ(run.trace.size(), serial.trace.size());
+    for (std::size_t i = 0; i < serial.trace.size(); ++i) {
+      EXPECT_EQ(run.trace[i].d, serial.trace[i].d);
+      EXPECT_EQ(run.trace[i].linear_yield, serial.trace[i].linear_yield);
+      EXPECT_EQ(run.trace[i].verified_yield, serial.trace[i].verified_yield);
+      EXPECT_EQ(run.trace[i].verification.performance_mean,
+                serial.trace[i].verification.performance_mean);
+    }
+    EXPECT_EQ(run.final_d, serial.final_d);
+    ASSERT_EQ(run.linearizations.size(), serial.linearizations.size());
+    for (std::size_t i = 0; i < serial.linearizations.size(); ++i) {
+      const auto& a = serial.linearizations[i].models;
+      const auto& b = run.linearizations[i].models;
+      ASSERT_EQ(b.size(), a.size());
+      for (std::size_t m = 0; m < a.size(); ++m) {
+        EXPECT_EQ(b[m].s_wc, a[m].s_wc);
+        EXPECT_EQ(b[m].margin_wc, a[m].margin_wc);
+        EXPECT_EQ(b[m].grad_s, a[m].grad_s);
+        EXPECT_EQ(b[m].grad_d, a[m].grad_d);
+        EXPECT_EQ(b[m].beta, a[m].beta);
+      }
+    }
+    EXPECT_EQ(run.is_verification.confidence.lower,
+              serial.is_verification.confidence.lower);
+    EXPECT_EQ(run.is_verification.confidence.upper,
+              serial.is_verification.confidence.upper);
+    EXPECT_EQ(run.counts.optimization, serial.counts.optimization);
+    EXPECT_EQ(run.counts.verification, serial.counts.verification);
+    EXPECT_EQ(run.counts.constraint, serial.counts.constraint);
+    EXPECT_EQ(run.counts.cache_hits, serial.counts.cache_hits);
+  }
 }
 
 TEST(Integration, MillerYieldRecovers) {

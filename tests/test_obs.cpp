@@ -138,8 +138,8 @@ TEST(ObsIntegration, SerialAndParallelVerifyMoveCountersEqually) {
 
   auto parallel_problem = mayo::testing::make_synthetic_problem(2.0, 1.0);
   core::Evaluator parallel_ev(parallel_problem);
-  core::VerificationOptions popts = vopts;
-  popts.threads = 4;
+  parallel_ev.set_threads(4);
+  const core::VerificationOptions& popts = vopts;
   const std::uint64_t samples_1 = tallies.mc_samples.value();
   const std::uint64_t blocks_1 = tallies.mc_blocks.value();
   const core::VerificationResult parallel = core::monte_carlo_verify(

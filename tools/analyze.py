@@ -2,8 +2,8 @@
 """Concurrency-purity static analyzer: call-graph race certification.
 
 The paper ran its loop "on a network (100 Mbit/sec) of 5 computers in
-parallel" (Table 7); this repo's parallel phases (the MC verifier and the
-per-spec worst-case fan-out of build_linearizations) promise bitwise
+parallel" (Table 7); this repo runs every independent batch of simulations
+on one evaluation pool (core/worker_pool.hpp) and promises bitwise
 serial==parallel results.  That promise rests on a discipline -- worker
 code must not touch shared mutable state -- which TSan can only spot-check
 on the inputs the tests happen to run.  This tool proves it statically:
@@ -16,9 +16,9 @@ on the inputs the tests happen to run.  This tool proves it statically:
      resolution over-approximates: an edge too many can only make the
      certification stricter, never unsound.
   3. Functions transitively reachable from a declared parallel entry
-     point -- a definition carrying a `// parallel-entry` comment, such
-     as the worker lambdas handed to core::run_workers -- form the certified
-     set, and three rule families are enforced:
+     point -- a definition carrying a `// parallel-entry` comment; in
+     src/ that is the one worker-thread lambda of core::EvaluationPool --
+     form the certified set, and three rule families are enforced:
 
   parallel-purity     no function in the certified set may write
                       non-atomic shared state (namespace-scope variables,
@@ -48,6 +48,9 @@ violations) with the same golden-byte discipline as the RunReport, plus
 an optional GraphViz dump for local inspection.
 
 Usage: python3 tools/analyze.py [--root R] [--json PATH] [--graph-dot PATH]
+The command line certifies the repository tree, which must declare
+exactly REPO_PARALLEL_ENTRIES entry points (rule entry-count): the
+evaluation pool's worker is the one way to run code on another thread.
 Exits non-zero and prints file:line: [rule] message for each violation.
 """
 
@@ -66,6 +69,9 @@ from cpp_tokens import SourceFile  # noqa: E402
 
 SCHEMA = "mayo.analyze/1"
 ENTRY_MARKER = "parallel-entry"
+# Parallel entry points the repository declares: the worker-thread lambda
+# of core::EvaluationPool.
+REPO_PARALLEL_ENTRIES = 1
 SHARED_OK = "shared-ok:"
 MEMORY_ORDER_OK = "memory-order-ok:"
 
@@ -336,8 +342,9 @@ class FileParser:
 # ---------------------------------------------------------------------------
 
 class Analyzer:
-    def __init__(self, root: Path):
+    def __init__(self, root: Path, expect_entries: int | None = None):
         self.root = root
+        self.expect_entries = expect_entries
         self.violations: list[tuple[str, int, str, str]] = []
         self.sources: dict[str, SourceFile] = {}
         self.functions: list[FunctionDef] = []
@@ -545,6 +552,19 @@ class Analyzer:
 
     # -- rules -------------------------------------------------------------
 
+    def check_entry_count(self) -> None:
+        """With expect_entries set, the tree must declare exactly that
+        many parallel entry points, so a new thread spawn cannot slip in
+        uncounted (and a removed one is noticed)."""
+        if self.expect_entries is None:
+            return
+        entries = sorted(f.name for f in self.functions if f.parallel_entry)
+        if len(entries) != self.expect_entries:
+            self.report(
+                "src", 0, "entry-count",
+                f"expected {self.expect_entries} parallel entry point(s), "
+                f"found {len(entries)}: {', '.join(entries) or 'none'}")
+
     def check_census(self) -> None:
         for var in self.statics:
             if var.mutability == "mutable" and not var.shared_ok:
@@ -698,6 +718,7 @@ class Analyzer:
             return 2
         self.build_graph()
         self.certify()
+        self.check_entry_count()
         self.check_census()
         self.check_parallel_purity()
         self.check_atomic_discipline()
@@ -729,7 +750,7 @@ def main() -> int:
                         help="write the call graph (certified slice "
                              "highlighted) as GraphViz DOT")
     args = parser.parse_args()
-    analyzer = Analyzer(args.root.resolve())
+    analyzer = Analyzer(args.root.resolve(), REPO_PARALLEL_ENTRIES)
     code = analyzer.run()
     if code != 2:
         if args.json is not None:

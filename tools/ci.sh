@@ -44,6 +44,8 @@ echo "=== [static] concurrency-purity certification ==="
 python3 tools/analyze.py --json analyze-callgraph.json
 echo "=== [static] analyze self-test ==="
 python3 tools/test_analyze.py
+echo "=== [static] run-report diff self-test ==="
+python3 tools/test_report_diff.py
 echo "=== [static] compile-fail harness (tagged spaces) ==="
 cmake --fresh -S tests/compile_fail -B build-ci-compile-fail >/dev/null
 

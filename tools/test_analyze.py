@@ -206,6 +206,21 @@ class AnalyzeRepoTest(unittest.TestCase):
         self.assertEqual(analyzer.artifact()["entry_points"],
                          ["m::worker_main"])
 
+    def test_entry_count_is_enforced_when_expected(self):
+        self.write("src/core/pool.cpp", SPAWN_TEMPLATE.format(
+            decls="void helper() { }"))
+        self.assertEqual(run_analyze(self.root).violations, [])
+        for expected, clean in ((1, True), (2, False), (0, False)):
+            analyzer = analyze.Analyzer(self.root, expect_entries=expected)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = analyzer.run()
+            self.assertEqual(code == 0, clean, expected)
+            if not clean:
+                self.assertEqual(rules_in(analyzer),
+                                 {("entry-count", "src")})
+                self.assertIn("m::spawn::lambda@",
+                              analyzer.violations[0][3])
+
     def test_purity_follows_qualified_member_calls(self):
         self.write("src/core/eng.cpp", SPAWN_TEMPLATE.format(
             decls="struct Engine { void step(); };\n"

@@ -322,7 +322,7 @@ class LintRepoTest(unittest.TestCase):
 
     def test_hot_alloc_is_verification_grow_only_escape(self):
         # The sanctioned pattern: grow-only reallocation under an explicit
-        # hot-ok marker (mirrors detail::IsBlockEvaluator::run_block).
+        # hot-ok marker.
         self.write("src/core/is_verification.cpp",
                    "void f() {\n"
                    "  for (int b = 0; b < 3; ++b) {\n"
